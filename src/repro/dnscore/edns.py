@@ -9,15 +9,22 @@ advertised UDP payload size plus a list of options.
 from __future__ import annotations
 
 import ipaddress
+import struct
 from dataclasses import dataclass, field
 
 from .errors import WireFormatError
 from .name import ROOT
+from .rdata import address_packed, ipv6_text
 from .rrtypes import RType
 from .wire import WireReader, WireWriter
 
 OPTION_CLIENT_SUBNET = 8
 DEFAULT_PAYLOAD_SIZE = 4096
+
+#: ECS option head: family, source prefix length, scope prefix length.
+_ECS_HEAD = struct.Struct("!HBB")
+#: Address octets per ECS family (1 = IPv4, 2 = IPv6).
+_FAMILY_OCTETS = {1: 4, 2: 16}
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,31 +58,27 @@ class ClientSubnetOption:
         )
 
     def to_wire(self) -> bytes:
-        ip = ipaddress.ip_address(self.address)
         octets = (self.source_prefix_length + 7) // 8
-        writer = WireWriter()
-        writer.write_u16(self.family)
-        writer.write_u8(self.source_prefix_length)
-        writer.write_u8(self.scope_prefix_length)
-        writer.write_bytes(ip.packed[:octets])
-        return writer.getvalue()
+        return (_ECS_HEAD.pack(self.family, self.source_prefix_length,
+                               self.scope_prefix_length)
+                + address_packed(self.address)[:octets])
 
     @classmethod
     def from_wire(cls, data: bytes) -> "ClientSubnetOption":
         reader = WireReader(data)
-        family = reader.read_u16()
-        source = reader.read_u8()
-        scope = reader.read_u8()
-        octets = (source + 7) // 8
-        raw = reader.read_bytes(octets)
-        if family == 1:
-            packed = raw.ljust(4, b"\x00")
-            address = str(ipaddress.IPv4Address(packed))
-        elif family == 2:
-            packed = raw.ljust(16, b"\x00")
-            address = str(ipaddress.IPv6Address(packed))
-        else:
+        family, source, scope = reader.read_struct(_ECS_HEAD)
+        size = _FAMILY_OCTETS.get(family)
+        if size is None:
             raise WireFormatError(f"unknown ECS family {family}")
+        octets = (source + 7) // 8
+        if octets > size:
+            raise WireFormatError(
+                f"ECS source prefix /{source} too long for family {family}")
+        packed = reader.read_bytes(octets).ljust(size, b"\x00")
+        if family == 1:
+            address = "%d.%d.%d.%d" % tuple(packed)
+        else:
+            address = ipv6_text(packed)
         return cls(family, source, scope, address)
 
 

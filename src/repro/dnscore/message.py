@@ -8,14 +8,26 @@ the same parsing logic a production server would.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from .edns import EDNSOptions
-from .errors import WireFormatError
+from .errors import TruncatedMessageError, WireFormatError
 from .name import Name
 from .records import Question, ResourceRecord, RRset
-from .rrtypes import Opcode, RClass, RCode, RType
+from .rrtypes import (
+    OPCODE_BY_VALUE,
+    RCODE_BY_VALUE,
+    Opcode,
+    RClass,
+    RCode,
+    RType,
+)
 from .wire import WireReader, WireWriter
+
+#: The fixed 12-octet header: id, flags, and the four section counts.
+_HEADER = struct.Struct("!6H")
+_OPT = int(RType.OPT)
 
 _FLAG_QR = 0x8000
 _FLAG_AA = 0x0400
@@ -54,14 +66,12 @@ class Flags:
 
     @classmethod
     def from_wire(cls, value: int) -> "Flags":
-        try:
-            opcode = Opcode((value >> 11) & 0xF)
-        except ValueError:
-            raise WireFormatError(f"unknown opcode {(value >> 11) & 0xF}") from None
-        try:
-            rcode = RCode(value & 0xF)
-        except ValueError:
-            raise WireFormatError(f"unknown rcode {value & 0xF}") from None
+        opcode = OPCODE_BY_VALUE.get((value >> 11) & 0xF)
+        if opcode is None:
+            raise WireFormatError(f"unknown opcode {(value >> 11) & 0xF}")
+        rcode = RCODE_BY_VALUE.get(value & 0xF)
+        if rcode is None:
+            raise WireFormatError(f"unknown rcode {value & 0xF}")
         return cls(qr=bool(value & _FLAG_QR), opcode=opcode,
                    aa=bool(value & _FLAG_AA), tc=bool(value & _FLAG_TC),
                    rd=bool(value & _FLAG_RD), ra=bool(value & _FLAG_RA),
@@ -129,13 +139,11 @@ class Message:
 
     def _encode(self, *, compress: bool) -> bytes:
         writer = WireWriter(compress=compress)
-        writer.write_u16(self.msg_id)
-        writer.write_u16(self.flags.to_wire())
-        writer.write_u16(len(self.questions))
-        writer.write_u16(len(self.answers))
-        writer.write_u16(len(self.authority))
         extra = 1 if self.edns is not None else 0
-        writer.write_u16(len(self.additional) + extra)
+        writer.write_bytes(_HEADER.pack(
+            self.msg_id, self.flags.to_wire(), len(self.questions),
+            len(self.answers), len(self.authority),
+            len(self.additional) + extra))
         for question in self.questions:
             question.write(writer)
         for record in self.answers:
@@ -150,25 +158,28 @@ class Message:
 
     @classmethod
     def from_wire(cls, data: bytes) -> "Message":
-        reader = WireReader(data)
-        msg_id = reader.read_u16()
-        flags = Flags.from_wire(reader.read_u16())
-        qdcount = reader.read_u16()
-        ancount = reader.read_u16()
-        nscount = reader.read_u16()
-        arcount = reader.read_u16()
-        message = cls(msg_id=msg_id, flags=flags)
+        if len(data) < _HEADER.size:
+            raise TruncatedMessageError(
+                f"header needs {_HEADER.size} octets, got {len(data)}")
+        msg_id, flag_bits, qdcount, ancount, nscount, arcount = \
+            _HEADER.unpack_from(data)
+        message = cls(msg_id=msg_id, flags=Flags.from_wire(flag_bits))
+        reader = WireReader(data, _HEADER.size)
+        read_record = ResourceRecord.read
+        questions = message.questions
         for _ in range(qdcount):
-            message.questions.append(Question.read(reader))
+            questions.append(Question.read(reader))
+        answers = message.answers
         for _ in range(ancount):
-            message.answers.append(ResourceRecord.read(reader))
+            answers.append(read_record(reader))
+        authority = message.authority
         for _ in range(nscount):
-            message.authority.append(ResourceRecord.read(reader))
+            authority.append(read_record(reader))
         for _ in range(arcount):
             mark = reader.position
             owner = reader.read_name()
             type_value = reader.read_u16()
-            if type_value == int(RType.OPT):
+            if type_value == _OPT:
                 if not owner.is_root:
                     raise WireFormatError("OPT owner name must be root")
                 if message.edns is not None:
@@ -206,15 +217,15 @@ def _flags_kwargs(flags: Flags) -> dict:
 
 
 def _group_rrsets(records: list[ResourceRecord]) -> list[RRset]:
-    order: list[tuple[Name, RType, RClass]] = []
     groups: dict[tuple[Name, RType, RClass], RRset] = {}
     for record in records:
         key = (record.name, record.rtype, record.rclass)
-        if key not in groups:
-            groups[key] = RRset(record.name, record.rtype, record.rclass)
-            order.append(key)
-        groups[key].add(record)
-    return [groups[key] for key in order]
+        rrset = groups.get(key)
+        if rrset is None:
+            rrset = groups[key] = RRset(record.name, record.rtype,
+                                        record.rclass)
+        rrset.add(record)
+    return list(groups.values())
 
 
 def make_query(msg_id: int, qname: Name, qtype: RType,

@@ -77,7 +77,8 @@ class Name:
         return obj
 
     @classmethod
-    def intern(cls, labels: tuple[bytes, ...]) -> "Name":
+    def intern(cls, labels: tuple[bytes, ...],
+               wire_len: int | None = None) -> "Name":
         """A shared instance for already-validated ``labels``.
 
         Flyweight constructor: equal label tuples map to one shared
@@ -86,11 +87,12 @@ class Name:
         calling ``__eq__``. Safe because Name is immutable and the memo
         is a pure function of its key (FLOW003-safe like the parse
         cache); bounded so unbounded distinct names cannot grow it
-        without limit.
+        without limit. ``wire_len`` is passed through to
+        :meth:`_from_validated` by callers that already know it.
         """
         cached = _INTERN.get(labels)
         if cached is None:
-            cached = cls._from_validated(labels)
+            cached = cls._from_validated(labels, wire_len)
             if len(_INTERN) >= _INTERN_MAX:
                 _INTERN.clear()  # reprolint: disable=FLOW003
             _INTERN[labels] = cached  # reprolint: disable=FLOW003

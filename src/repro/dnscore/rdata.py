@@ -9,8 +9,9 @@ drops records it does not understand.
 from __future__ import annotations
 
 import ipaddress
+import struct
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, TypeVar
 
 from .errors import WireFormatError
 from .name import Name, name
@@ -51,6 +52,51 @@ def _require_fields(fields: list[str], count: int, rtype: str) -> None:
         raise ValueError(f"{rtype} rdata needs {count} fields, got {len(fields)}")
 
 
+_IPV4 = struct.Struct("!4B")
+
+#: Bounded memos for address spelling, both pure functions of their
+#: key: packed IPv6 octets -> RFC 5952 text (``str(IPv6Address(...))``),
+#: and address text -> packed octets (``ip_address(text).packed``).
+#: Zones carry few distinct addresses, so the codec parses each one
+#: through ``ipaddress`` once per memo lifetime instead of per record.
+_V6_TEXT: dict[bytes, str] = {}
+_PACKED: dict[str, bytes] = {}
+_ADDRESS_MEMO_MAX = 4096
+
+
+def ipv6_text(packed: bytes) -> str:
+    """The canonical text of 16 packed IPv6 octets."""
+    text = _V6_TEXT.get(packed)
+    if text is None:
+        text = str(ipaddress.IPv6Address(packed))
+        if len(_V6_TEXT) >= _ADDRESS_MEMO_MAX:
+            _V6_TEXT.clear()  # reprolint: disable=FLOW003
+        _V6_TEXT[packed] = text  # reprolint: disable=FLOW003
+    return text
+
+
+def address_packed(text: str) -> bytes:
+    """The packed octets of an IPv4 or IPv6 address in text form."""
+    packed = _PACKED.get(text)
+    if packed is None:
+        packed = ipaddress.ip_address(text).packed
+        if len(_PACKED) >= _ADDRESS_MEMO_MAX:
+            _PACKED.clear()  # reprolint: disable=FLOW003
+        _PACKED[text] = packed  # reprolint: disable=FLOW003
+    return packed
+
+
+_AddressRdata = TypeVar("_AddressRdata", bound=Rdata)
+
+
+def _trusted(cls: type[_AddressRdata], address: str) -> _AddressRdata:
+    """An address rdata built without ``__post_init__`` re-validation,
+    for text the decoder produced from wire octets."""
+    rdata = object.__new__(cls)
+    object.__setattr__(rdata, "address", address)
+    return rdata
+
+
 @_register
 @dataclass(frozen=True, slots=True)
 class A(Rdata):
@@ -63,13 +109,16 @@ class A(Rdata):
         ipaddress.IPv4Address(self.address)
 
     def write(self, writer: WireWriter) -> None:
-        writer.write_bytes(ipaddress.IPv4Address(self.address).packed)
+        # __post_init__ admitted only a canonical dotted quad (four
+        # decimal octets, no leading zeros), so its parts pack directly.
+        writer.write_bytes(bytes(map(int, self.address.split("."))))
 
     @classmethod
     def read(cls, reader: WireReader, rdlength: int) -> "A":
         if rdlength != 4:
             raise WireFormatError(f"A rdata must be 4 octets, got {rdlength}")
-        return cls(str(ipaddress.IPv4Address(reader.read_bytes(4))))
+        # Any four octets are a valid address: no re-validation needed.
+        return _trusted(cls, "%d.%d.%d.%d" % reader.read_struct(_IPV4))
 
     def to_text(self) -> str:
         return self.address
@@ -94,13 +143,13 @@ class AAAA(Rdata):
         )
 
     def write(self, writer: WireWriter) -> None:
-        writer.write_bytes(ipaddress.IPv6Address(self.address).packed)
+        writer.write_bytes(address_packed(self.address))
 
     @classmethod
     def read(cls, reader: WireReader, rdlength: int) -> "AAAA":
         if rdlength != 16:
             raise WireFormatError(f"AAAA rdata must be 16 octets, got {rdlength}")
-        return cls(str(ipaddress.IPv6Address(reader.read_bytes(16))))
+        return _trusted(cls, ipv6_text(reader.read_bytes(16)))
 
     def to_text(self) -> str:
         return self.address

@@ -7,15 +7,21 @@ which an authoritative server stores and serves data (RFC 2181 section 5).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from .errors import WireFormatError
 from .name import Name
 from .rdata import Rdata, read_rdata
-from .rrtypes import RClass, RType
+from .rrtypes import RCLASS_BY_VALUE, RTYPE_BY_VALUE, RClass, RType
 from .wire import WireReader, WireWriter
 
 MAX_TTL = 2**31 - 1
+
+#: Question tail (type, class) and record header after the owner name
+#: (type, class, TTL, rdlength).
+_QTAIL = struct.Struct("!HH")
+_RR_HEAD = struct.Struct("!HHIH")
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,22 +34,18 @@ class Question:
 
     def write(self, writer: WireWriter) -> None:
         writer.write_name(self.qname)
-        writer.write_u16(int(self.qtype))
-        writer.write_u16(int(self.qclass))
+        writer.write_bytes(_QTAIL.pack(self.qtype, self.qclass))
 
     @classmethod
     def read(cls, reader: WireReader) -> "Question":
         qname = reader.read_name()
-        qtype_value = reader.read_u16()
-        qclass_value = reader.read_u16()
-        try:
-            qtype = RType(qtype_value)
-        except ValueError:
-            raise WireFormatError(f"unsupported qtype {qtype_value}") from None
-        try:
-            qclass = RClass(qclass_value)
-        except ValueError:
-            raise WireFormatError(f"unsupported qclass {qclass_value}") from None
+        qtype_value, qclass_value = reader.read_struct(_QTAIL)
+        qtype = RTYPE_BY_VALUE.get(qtype_value)
+        if qtype is None:
+            raise WireFormatError(f"unsupported qtype {qtype_value}")
+        qclass = RCLASS_BY_VALUE.get(qclass_value)
+        if qclass is None:
+            raise WireFormatError(f"unsupported qclass {qclass_value}")
         return cls(qname, qtype, qclass)
 
     def __str__(self) -> str:
@@ -66,35 +68,23 @@ class ResourceRecord:
 
     def write(self, writer: WireWriter) -> None:
         writer.write_name(self.name)
-        writer.write_u16(int(self.rtype))
-        writer.write_u16(int(self.rclass))
-        writer.write_u32(self.ttl)
-        rdlength_at = len(writer)
-        writer.write_u16(0)
+        writer.write_bytes(_RR_HEAD.pack(self.rtype, self.rclass, self.ttl, 0))
         start = len(writer)
         self.rdata.write(writer)
-        writer.patch_u16(rdlength_at, len(writer) - start)
+        writer.patch_u16(start - 2, len(writer) - start)
 
     @classmethod
     def read(cls, reader: WireReader) -> "ResourceRecord":
         name = reader.read_name()
-        type_value = reader.read_u16()
-        class_value = reader.read_u16()
-        ttl = reader.read_u32()
+        type_value, class_value, ttl, rdlength = reader.read_struct(_RR_HEAD)
         if ttl > MAX_TTL:
             # RFC 2181 section 8: a TTL with the high bit set is
             # treated as zero rather than rejected.
             ttl = 0
-        rdlength = reader.read_u16()
         rdata = read_rdata(reader, type_value, rdlength)
-        try:
-            rtype = RType(type_value)
-        except ValueError:
-            rtype = type_value  # type: ignore[assignment]
-        try:
-            rclass = RClass(class_value)
-        except ValueError:
-            rclass = class_value  # type: ignore[assignment]
+        # Unknown type and class values stay plain ints (RFC 3597).
+        rtype = RTYPE_BY_VALUE.get(type_value, type_value)
+        rclass = RCLASS_BY_VALUE.get(class_value, class_value)
         return cls(name, rtype, rclass, ttl, rdata)
 
     def with_ttl(self, ttl: int) -> "ResourceRecord":
@@ -134,14 +124,19 @@ class RRset:
     def add(self, record: ResourceRecord) -> None:
         if (record.name, record.rtype, record.rclass) != self.key:
             raise ValueError(f"record {record} does not belong to rrset {self.key}")
-        if record.rdata in (r.rdata for r in self.records):
+        records = self.records
+        if record.rdata in [r.rdata for r in records]:
             return
-        if not self.records:
-            self.ttl = record.ttl
-        elif record.ttl != self.ttl:
-            self.ttl = min(self.ttl, record.ttl)
-        self.records.append(record)
-        self.records[:] = [r.with_ttl(self.ttl) for r in self.records]
+        ttl = record.ttl
+        if not records:
+            self.ttl = ttl
+        elif ttl < self.ttl:
+            # The set's TTL drops: only now do stored records change.
+            self.ttl = ttl
+            records[:] = [r.with_ttl(ttl) for r in records]
+        elif ttl > self.ttl:
+            record = record.with_ttl(self.ttl)
+        records.append(record)
 
     def rdatas(self) -> list[Rdata]:
         return [r.rdata for r in self.records]

@@ -81,3 +81,14 @@ class RCode(enum.IntEnum):
     NXDOMAIN = 3
     NOTIMP = 4
     REFUSED = 5
+
+
+#: Wire value -> enum member tables for the codec's hot paths. A dict
+#: probe replaces the enum constructor (and its ``try``/``except`` on
+#: unknown values) once per decoded record.
+RTYPE_BY_VALUE: dict[int, RType] = {member.value: member for member in RType}
+RCLASS_BY_VALUE: dict[int, RClass] = {member.value: member
+                                      for member in RClass}
+OPCODE_BY_VALUE: dict[int, Opcode] = {member.value: member
+                                      for member in Opcode}
+RCODE_BY_VALUE: dict[int, RCode] = {member.value: member for member in RCode}

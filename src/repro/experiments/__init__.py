@@ -20,7 +20,16 @@ from . import (
     taxonomy,
     text_stats,
 )
-from .runner import run_all
+
+
+def __getattr__(name: str):
+    # run_all loads lazily (PEP 562): importing .runner here would put
+    # it in sys.modules before `python -m repro.experiments.runner`
+    # executes it, which runpy warns about.
+    if name == "run_all":
+        from .runner import run_all
+        return run_all
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "anycast_quality", "enduser_latency", "fig1_qps", "fig2_skew", "fig3_per_resolver", "fig4_stability",

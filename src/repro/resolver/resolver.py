@@ -457,7 +457,7 @@ class RecursiveResolver:
                 if _t is not None:
                     _t.dnssec_validation(str(resolution.target), True)
         if message.rcode == RCode.NXDOMAIN:
-            ttl = _negative_ttl(message)
+            ttl = _negative_ttl(message.authority_rrsets())
             self.cache.put_negative(resolution.target, resolution.qtype,
                                     RCode.NXDOMAIN, ttl, now)
             self._finish(resolution, RCode.NXDOMAIN)
@@ -467,11 +467,15 @@ class RecursiveResolver:
             self._query_authority(resolution)
             return
 
-        for rrset in (message.answer_rrsets() + message.authority_rrsets()
+        # Grouped once: the cache and resolution.answers share these
+        # RRsets, which nothing mutates after grouping (cache reads
+        # hand out TTL-aged copies).
+        answer_sets = message.answer_rrsets()
+        authority_sets = message.authority_rrsets()
+        for rrset in (answer_sets + authority_sets
                       + message.additional_rrsets()):
             self.cache.put(rrset, now)
 
-        answer_sets = message.answer_rrsets()
         if answer_sets:
             terminal = False
             for rrset in answer_sets:
@@ -492,8 +496,7 @@ class RecursiveResolver:
                 self._step(resolution)
             return
 
-        ns_sets = [r for r in message.authority_rrsets()
-                   if r.rtype == RType.NS]
+        ns_sets = [r for r in authority_sets if r.rtype == RType.NS]
         if ns_sets:
             resolution.referrals += 1
             if resolution.referrals > MAX_REFERRALS:
@@ -505,7 +508,7 @@ class RecursiveResolver:
             return
 
         # NODATA.
-        ttl = _negative_ttl(message)
+        ttl = _negative_ttl(authority_sets)
         self.cache.put_negative(resolution.target, resolution.qtype,
                                 RCode.NOERROR, ttl, now)
         self._finish(resolution, RCode.NOERROR)
@@ -588,8 +591,8 @@ class RecursiveResolver:
         resolution.callback(result)
 
 
-def _negative_ttl(message: Message) -> int:
-    for rrset in message.authority_rrsets():
+def _negative_ttl(authority_sets: list[RRset]) -> int:
+    for rrset in authority_sets:
         if rrset.rtype == RType.SOA:
             rdata = rrset.records[0].rdata
             assert isinstance(rdata, SOA)

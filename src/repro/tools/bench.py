@@ -3,11 +3,11 @@
 Writes two committed artifacts at the repository root:
 
 * ``BENCH_micro.json`` — microbenchmarks of the simulator core: event
-  loop throughput, route-cached vs hop-by-hop anycast forwarding, and
-  the O(1) ``pending`` counter. Ratio metrics (under ``"metrics"``) are
-  hardware-independent and gate CI; absolute throughput (under
-  ``"info"``) varies with the host and is tracked for local comparison
-  only.
+  loop throughput, route-cached vs hop-by-hop anycast forwarding, the
+  O(1) ``pending`` counter, and the wire codec. Ratio metrics (under
+  ``"metrics"``) are hardware-independent and gate CI; absolute
+  throughput (under ``"info"``) varies with the host and is tracked
+  for local comparison only.
 * ``BENCH_experiments.json`` — per-figure wall time of
   ``runner --fast`` plus the speedup against the recorded
   pre-optimization baseline, stamped with the recording host's machine
@@ -22,7 +22,8 @@ exactly this.
 
 This module measures wall time by design; it is operator-facing tooling
 that never feeds simulation results, so the wall-clock reads carry
-documented DET001 suppressions (see docs/determinism.md).
+inline DET001 suppressions (see "Suppression etiquette" in
+docs/ARCHITECTURE.md).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -334,6 +336,81 @@ def bench_telemetry(n_queries: int = 8_000) -> tuple[float, float]:
     return _best_of(one_point), _best_of(enabled_point)
 
 
+def _codec_response():
+    """A representative wire-mode answer: a CDN-style CNAME chain ending
+    in four A records, echoing an EDNS Client Subnet option."""
+    from ..dnscore import (
+        A,
+        CNAME,
+        ClientSubnetOption,
+        EDNSOptions,
+        RClass,
+        ResourceRecord,
+        RType,
+        make_query,
+        make_response,
+        name,
+    )
+
+    edns = EDNSOptions(payload_size=1232,
+                       client_subnet=ClientSubnetOption.for_client(
+                           "198.51.100.7"))
+    chain = [name("www.shop.example.com"),
+             name("www.shop.example.com.edgesuite.net"),
+             name("a12.w10.akamai.net")]
+    response = make_response(make_query(7, chain[0], RType.A, edns=edns))
+    for owner, target in zip(chain, chain[1:]):
+        response.answers.append(ResourceRecord(owner, RType.CNAME,
+                                               RClass.IN, 300, CNAME(target)))
+    for i in range(4):
+        response.answers.append(ResourceRecord(chain[-1], RType.A, RClass.IN,
+                                               20, A(f"203.0.113.{i + 1}")))
+    return response
+
+
+def bench_wire_codec(n_messages: int = 10_000) -> tuple[float, float]:
+    """(encode, decode) best-of-3 seconds for ``n_messages`` passes of
+    the representative response through ``to_wire``/``from_wire``."""
+    from ..dnscore import Message
+
+    response = _codec_response()
+    wire = response.to_wire()
+    assert Message.from_wire(wire) == response
+
+    def encode() -> float:
+        to_wire = response.to_wire
+        started = _now()
+        for _ in range(n_messages):
+            to_wire()
+        return _now() - started
+
+    def decode() -> float:
+        from_wire = Message.from_wire
+        started = _now()
+        for _ in range(n_messages):
+            from_wire(wire)
+        return _now() - started
+
+    return _best_of(encode), _best_of(decode)
+
+
+def bench_wire_roundtrip_ratio(pairs: int = 5, n_messages: int = 2_000,
+                               n_queries: int = 10_000) -> float:
+    """Median cost of one wire round trip (encode + decode) in units of
+    one cached ``respond`` call.
+
+    Each pair times the two back to back, so a host-speed swing between
+    them mostly cancels; the median drops the pairs a swing still hit.
+    """
+    ratios = []
+    for _ in range(pairs):
+        respond_s = bench_respond(plan_cache=True, n_queries=n_queries)
+        encode_s, decode_s = bench_wire_codec(n_messages)
+        ratios.append(((encode_s + decode_s) / n_messages)
+                      / (respond_s / n_queries))
+    return statistics.median(ratios)
+
+
 def bench_pending_ratio(large: int = 20_000, small: int = 50) -> float:
     """Cost ratio of ``loop.pending`` at two queue sizes (~1 when O(1))."""
 
@@ -364,6 +441,7 @@ def run_micro() -> dict:
     tap_bare, tap_armed = bench_observer_tap()
     telemetry_off, telemetry_on = bench_telemetry()
     signed_do0, signed_do1 = bench_signed_respond()
+    codec_encode, codec_decode = bench_wire_codec()
     return {
         "metrics": {
             # Gated, hardware-independent ratios.
@@ -378,6 +456,8 @@ def run_micro() -> dict:
                 telemetry_on / telemetry_off, 3),
             "signed_respond_overhead_ratio": round(
                 signed_do1 / signed_do0, 3),
+            "wire_roundtrip_vs_respond_ratio": round(
+                bench_wire_roundtrip_ratio(), 3),
         },
         "info": {
             # Absolute throughput; varies with host, never gated.
@@ -393,6 +473,8 @@ def run_micro() -> dict:
             "telemetry_enabled_point_s": round(telemetry_on, 3),
             "signed_respond_do0_qps": round(10_000 / signed_do0),
             "signed_respond_do1_qps": round(10_000 / signed_do1),
+            "wire_encode_msgs_per_sec": round(10_000 / codec_encode),
+            "wire_decode_msgs_per_sec": round(10_000 / codec_decode),
         },
     }
 
@@ -405,6 +487,7 @@ _GATED = {
     "pending_cost_ratio_20000_vs_50": "lower",
     "telemetry_enabled_overhead_ratio": "lower",
     "signed_respond_overhead_ratio": "lower",
+    "wire_roundtrip_vs_respond_ratio": "lower",
 }
 
 
@@ -516,7 +599,10 @@ def main(argv: list[str] | None = None) -> int:
                              "within one machine class)")
     args = parser.parse_args(argv)
 
-    if not args.skip_experiments and EXPERIMENTS_PATH.exists():
+    # The drift guard protects BENCH_experiments.json, so it only runs
+    # when this invocation will rewrite that file.
+    writes_experiments = not (args.check or args.skip_experiments)
+    if writes_experiments and EXPERIMENTS_PATH.exists():
         recorded = json.loads(EXPERIMENTS_PATH.read_text())
         drift = check_machine_drift(recorded)
         if drift and not args.reanchor:
@@ -545,7 +631,7 @@ def main(argv: list[str] | None = None) -> int:
 
     MICRO_PATH.write_text(json.dumps(fresh, indent=2) + "\n")
     print(f"wrote {MICRO_PATH}: {json.dumps(fresh['metrics'])}")
-    if not args.skip_experiments:
+    if writes_experiments:
         experiments = run_experiments()
         EXPERIMENTS_PATH.write_text(
             json.dumps(experiments, indent=2) + "\n")

@@ -1,11 +1,13 @@
 """Property-based tests on the DNS substrate's core invariants."""
 
+import ipaddress
 import string
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dnscore import (
+    AAAA,
     A,
     Message,
     Name,
@@ -13,6 +15,7 @@ from repro.dnscore import (
     RClass,
     RType,
     ResourceRecord,
+    RRset,
     WireReader,
     WireWriter,
     make_query,
@@ -125,3 +128,54 @@ def test_truncating_valid_wire_is_safe(msg_id, qname, qtype, junk):
             Message.from_wire(wire[:cut])
         except DNSError:
             pass
+
+
+def _decode(rdata_cls, packed):
+    return rdata_cls.read(WireReader(packed), len(packed))
+
+
+def _encode(rdata):
+    writer = WireWriter()
+    rdata.write(writer)
+    return writer.getvalue()
+
+
+@given(st.binary(min_size=4, max_size=4))
+@settings(max_examples=200)
+def test_a_rdata_matches_ipaddress(packed):
+    address = ipaddress.ip_address(packed)
+    decoded = _decode(A, packed)
+    assert decoded.address == str(address)
+    assert decoded == A(str(address))
+    assert _encode(decoded) == address.packed
+    assert _encode(A(str(address))) == address.packed
+
+
+@given(st.binary(min_size=16, max_size=16))
+@settings(max_examples=200)
+def test_aaaa_rdata_matches_ipaddress(packed):
+    address = ipaddress.ip_address(packed)
+    decoded = _decode(AAAA, packed)
+    assert decoded.address == str(address)
+    assert decoded == AAAA(address.exploded)
+    assert _encode(decoded) == address.packed
+    # Any spelling encodes to the same octets.
+    assert _encode(AAAA(address.exploded)) == address.packed
+
+
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2**31 - 1)),
+                min_size=1, max_size=10))
+def test_rrset_add_normalises_to_minimum_ttl(entries):
+    owner = name("mixed.example")
+    rrset = RRset(owner, RType.A)
+    first: dict[int, int] = {}
+    for octet, ttl in entries:
+        rrset.add(ResourceRecord(owner, RType.A, RClass.IN, ttl,
+                                 A(f"192.0.2.{octet}")))
+        first.setdefault(octet, ttl)
+    # A repeated rdata is dropped whole: its TTL does not count.
+    want = min(first.values())
+    assert rrset.ttl == want
+    assert [r.ttl for r in rrset.records] == [want] * len(first)
+    assert [r.rdata for r in rrset.records] == [
+        A(f"192.0.2.{octet}") for octet in first]
