@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import ZoneError
 from .name import Name
-from .rdata import NS, SOA, CNAME
+from .rdata import CNAME, DNSKEY, NS, RRSIG, SOA
 from .records import ResourceRecord, RRset, make_rrset
 from .rrtypes import DNSSEC_TYPES, RClass, RType
 
@@ -82,6 +82,13 @@ class Zone:
         #: from one dict hit.
         self._answer_cache: dict[tuple[Name, RType],
                                  tuple[list[RRset], LookupResult]] = {}
+        #: Derivations of the whole zone's content, each tagged with the
+        #: ``version`` it was computed at. They live on the zone object,
+        #: so every server holding this object shares one computation
+        #: and events elsewhere (installs of other zones) never
+        #: invalidate them.
+        self._canonical_memo: tuple[int, tuple[RRset, ...]] | None = None
+        self._horizon_memo: tuple[int, bool, float] | None = None
 
     # -- authoring -----------------------------------------------------
 
@@ -181,10 +188,56 @@ class Zone:
         return self._rrsets.get((name, rtype))
 
     def iter_rrsets(self):
-        """All RRsets in canonical name order (stable for AXFR/serialize)."""
-        return iter(sorted(self._rrsets.values(),
-                           key=lambda rrset: (rrset.name.canonical_key(),
-                                              int(rrset.rtype))))
+        """All RRsets in canonical name order (stable for AXFR/serialize).
+
+        The order is computed once per ``version``. Iteration walks a
+        snapshot, so callers may mutate the zone while iterating.
+        """
+        memo = self._canonical_memo
+        if memo is None or memo[0] != self.version:
+            memo = self._canonical_memo = (self.version, tuple(sorted(
+                self._rrsets.values(),
+                key=lambda rrset: (rrset.name.canonical_key(),
+                                   int(rrset.rtype)))))
+        return iter(memo[1])
+
+    def signature_horizon(self) -> tuple[bool, float]:
+        """(key tags consistent, earliest RRSIG expiration).
+
+        Unsigned zones (no apex DNSKEY) report ``(True, inf)``. The
+        check is structural — key-tag membership, not digest
+        verification — which is exactly what distinguishes a zone
+        signed by a key it no longer publishes or one whose signatures
+        have lapsed, the two botched-rollover shapes the canary gate
+        must catch. Computed once per ``version``; comparing the
+        horizon against the clock is the caller's job.
+        """
+        memo = self._horizon_memo
+        if memo is None or memo[0] != self.version:
+            memo = self._horizon_memo = (self.version,
+                                         *self._scan_signatures())
+        return memo[1], memo[2]
+
+    def _scan_signatures(self) -> tuple[bool, float]:
+        dnskey_rrset = self._rrsets.get((self.origin, RType.DNSKEY))
+        if dnskey_rrset is None:
+            return (True, float("inf"))
+        tags = {record.rdata.key_tag() for record in dnskey_rrset.records
+                if isinstance(record.rdata, DNSKEY)}
+        keys_ok = True
+        horizon = float("inf")
+        for rrset in self.iter_rrsets():
+            if rrset.rtype is not RType.RRSIG:
+                continue
+            for record in rrset.records:
+                rrsig = record.rdata
+                if not isinstance(rrsig, RRSIG):
+                    continue
+                if rrsig.signer != self.origin or rrsig.key_tag not in tags:
+                    keys_ok = False
+                if rrsig.expiration < horizon:
+                    horizon = float(rrsig.expiration)
+        return (keys_ok, horizon)
 
     def types_at(self, name: Name) -> frozenset[RType]:
         """The record types present at ``name`` (empty if absent)."""

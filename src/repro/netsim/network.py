@@ -143,6 +143,11 @@ class Network:
         self._endpoints: dict[str, Endpoint] = {}
         self._unicast_cache: dict[str, dict[str, float]] = {}
         self._unicast_cache_version = -1
+        #: Live adjacency for unicast shortest paths: node -> [(neighbor,
+        #: link latency s, degradation extra s)] over up links only.
+        #: Built lazily and dropped wherever ``_unicast_cache`` is.
+        self._spf_adjacency: dict[
+            str, list[tuple[str, float, float]]] | None = None
         self._link_state: dict[tuple[str, str], _LinkState] = {}
         self._link_drops: dict[tuple[str, str], int] = {}
         self.stats = NetworkStats()
@@ -259,6 +264,7 @@ class Network:
             return
         state.up = up
         self._unicast_cache.clear()
+        self._spf_adjacency = None
         self._bump_route_epoch()
         speaker_a = self._speakers.get(a)
         speaker_b = self._speakers.get(b)
@@ -298,6 +304,7 @@ class Network:
         state.extra_latency_ms = extra_latency_ms
         # Added latency changes shortest paths.
         self._unicast_cache.clear()
+        self._spf_adjacency = None
         self._bump_route_epoch()
 
     def link_degradation(self, a: str, b: str) -> tuple[float, float]:
@@ -595,6 +602,7 @@ class Network:
         if self._unicast_cache_version != self.topology.version:
             # Topology grew (new hosts/links) since the cache was built.
             self._unicast_cache.clear()
+            self._spf_adjacency = None
             self._unicast_cache_version = self.topology.version
         distances = self._unicast_cache.get(src)
         if distances is None:
@@ -607,7 +615,30 @@ class Network:
         one_way = self.unicast_latency(a, b)
         return None if one_way is None else one_way * 2000.0
 
+    def _live_adjacency(self) -> dict[str, list[tuple[str, float, float]]]:
+        adjacency = self._spf_adjacency
+        if adjacency is None:
+            topology = self.topology
+            link_state = self._link_state
+            adjacency = {}
+            for node in topology.nodes():
+                node_id = node.node_id
+                edges = []
+                for neighbor in topology.neighbors(node_id):
+                    state = link_state.get(link_key(node_id, neighbor))
+                    if state is not None and not state.up:
+                        continue
+                    edges.append((
+                        neighbor,
+                        topology.link(node_id, neighbor).latency_ms / 1000.0,
+                        0.0 if state is None
+                        else state.extra_latency_ms / 1000.0))
+                adjacency[node_id] = edges
+            self._spf_adjacency = adjacency
+        return adjacency
+
     def _dijkstra(self, src: str) -> dict[str, float]:
+        adjacency = self._live_adjacency()
         distances = {src: 0.0}
         frontier: list[tuple[float, str]] = [(0.0, src)]
         visited: set[str] = set()
@@ -616,12 +647,11 @@ class Network:
             if node in visited:
                 continue
             visited.add(node)
-            for neighbor in self.topology.neighbors(node):
-                if not self.link_is_up(node, neighbor):
-                    continue
-                link = self.topology.link(node, neighbor)
-                candidate = (dist + link.latency_ms / 1000.0 + HOP_COST_S
-                             + self._link_extra_delay(node, neighbor))
+            for neighbor, latency_s, extra_s in adjacency[node]:
+                # Summed left to right exactly as before the table
+                # existed: folding HOP_COST_S into the edge weight
+                # would round differently and move every digest.
+                candidate = dist + latency_s + HOP_COST_S + extra_s
                 if candidate < distances.get(neighbor, float("inf")):
                     distances[neighbor] = candidate
                     heapq.heappush(frontier, (candidate, neighbor))

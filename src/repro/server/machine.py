@@ -25,8 +25,7 @@ from typing import Callable
 from ..dnscore.errors import ZoneError
 from ..dnscore.message import Message, make_response
 from ..dnscore.name import Name
-from ..dnscore.rdata import DNSKEY, RRSIG
-from ..dnscore.rrtypes import RCode, RType
+from ..dnscore.rrtypes import RCode
 from ..dnscore.validate import ZoneUpdate, validate_update
 from ..dnscore.zone import Zone
 from ..filters.base import QueryContext, ScoringPipeline
@@ -142,36 +141,6 @@ def _serial_of(zone: Zone) -> int:
         return -1
 
 
-def _signature_horizon(zone: Zone) -> tuple[bool, float]:
-    """(key tags consistent, earliest RRSIG expiration) for one zone.
-
-    Unsigned zones (no apex DNSKEY) report ``(True, inf)``. The check
-    is structural — key-tag membership, not digest verification — which
-    is exactly what distinguishes a zone signed by a key it no longer
-    publishes or one whose signatures have lapsed, the two botched-
-    rollover shapes the canary gate must catch.
-    """
-    dnskey_rrset = zone.get_rrset(zone.origin, RType.DNSKEY)
-    if dnskey_rrset is None:
-        return (True, float("inf"))
-    tags = {record.rdata.key_tag() for record in dnskey_rrset.records
-            if isinstance(record.rdata, DNSKEY)}
-    keys_ok = True
-    horizon = float("inf")
-    for rrset in zone.iter_rrsets():
-        if rrset.rtype is not RType.RRSIG:
-            continue
-        for record in rrset.records:
-            rrsig = record.rdata
-            if not isinstance(rrsig, RRSIG):
-                continue
-            if rrsig.signer != zone.origin or rrsig.key_tag not in tags:
-                keys_ok = False
-            if rrsig.expiration < horizon:
-                horizon = float(rrsig.expiration)
-    return (keys_ok, horizon)
-
-
 class NameserverMachine:
     """One machine running the nameserver software."""
 
@@ -233,13 +202,6 @@ class NameserverMachine:
         #: Zone updates deferred while degraded: latest pending
         #: (zone, rollback) per origin, replayed on exit_degraded().
         self._deferred_zones: dict[Name, tuple[Zone, bool]] = {}
-        #: Per-origin memo for the probe-time DNSSEC self-check:
-        #: origin -> (store generation, zone version, key tags
-        #: consistent, earliest RRSIG expiration). Keyed on the store
-        #: generation as well as the version because two different
-        #: Zone objects (install then rollback) can share a version.
-        self._dnssec_probe_memo: dict[
-            Name, tuple[int, int, bool, float]] = {}
 
     # -- metadata ------------------------------------------------------------
 
@@ -532,21 +494,16 @@ class NameserverMachine:
         Unsigned zones always pass. For a signed zone the machine acts
         as its own validating client: signatures must not be expired at
         probe time and every RRSIG's key tag must be published in the
-        apex DNSKEY RRset. The per-zone scan is memoized against the
-        zone's version counter, so steady-state probes cost one dict
-        lookup and a clock comparison.
+        apex DNSKEY RRset. The zone scan is memoized on the served
+        ``Zone`` object (:meth:`Zone.signature_horizon`), so it runs
+        once per zone version however many machines serve that object
+        or how many other zones they install; each probe costs one
+        store lookup and a clock comparison.
         """
-        store = self.engine.store
-        zone = store.find(qname)
+        zone = self.engine.store.find(qname)
         if zone is None:
             return True
-        memo = self._dnssec_probe_memo.get(zone.origin)
-        if (memo is None or memo[0] != store.generation
-                or memo[1] != zone.version):
-            keys_ok, horizon = _signature_horizon(zone)
-            memo = (store.generation, zone.version, keys_ok, horizon)
-            self._dnssec_probe_memo[zone.origin] = memo
-        _, _, keys_ok, horizon = memo
+        keys_ok, horizon = zone.signature_horizon()
         return keys_ok and self.loop.now < horizon
 
     def health_probe(self, message: Message) -> Message | None:

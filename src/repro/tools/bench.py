@@ -411,6 +411,96 @@ def bench_wire_roundtrip_ratio(pairs: int = 5, n_messages: int = 2_000,
     return statistics.median(ratios)
 
 
+def _probe_bench_agent(n_signed: int = 8):
+    """A machine serving ``n_signed`` signed zones plus one unsigned
+    zone, with a monitoring agent that probes every zone each cycle.
+
+    Returns the machine, the agent, and two distinct objects of the
+    unsigned zone for the bench to install alternately.
+    """
+    from ..dnscore import name, parse_zone_text
+    from ..dnssec.keys import KeyRing
+    from ..dnssec.sign import ZoneSigner
+    from ..filters.base import ScoringPipeline
+    from ..filters.scoring import QueuePolicy
+    from ..server.engine import AuthoritativeEngine, ZoneStore
+    from ..server.machine import NameserverMachine
+    from ..server.monitoring import MonitoringAgent
+    from ..server.speaker import MachineBGPSpeaker
+
+    loop = EventLoop()
+    machine = NameserverMachine(loop, "bench",
+                                AuthoritativeEngine(ZoneStore()),
+                                ScoringPipeline([]), QueuePolicy())
+    for i in range(n_signed):
+        origin = f"s{i}.bench.example"
+        zone = parse_zone_text(_BENCH_ZONE.replace("bench.example", origin))
+        ZoneSigner(KeyRing(i, name(origin))).sign(zone, 0.0)
+        machine.install_zone(zone)
+    unrelated = [parse_zone_text(_BENCH_ZONE) for _ in range(2)]
+    machine.install_zone(unrelated[0])
+    # No PoP and no clouds: the speaker never advertises, and the
+    # agent's periodic task never fires because the loop never runs.
+    speaker = MachineBGPSpeaker(None, "bench", [])  # type: ignore[arg-type]
+    agent = MonitoringAgent(loop, machine, speaker,
+                            max_probe_zones=n_signed + 1)
+    return machine, agent, unrelated
+
+
+def bench_probe_cycle_after_install_ratio(pairs: int = 5,
+                                          cycles: int = 200) -> float:
+    """Median cost of a monitoring cycle run right after an install of
+    an unrelated zone, in units of a steady-state cycle.
+
+    The agent probes signed zones, whose DNSSEC self-check derives from
+    each zone's content alone; a memo that an install of another zone
+    invalidates rescans every signed zone here. The cycle that follows
+    is the steady-state one, so each pair of cycles runs back to back;
+    the median over ``pairs`` rounds drops rounds a host-speed swing
+    still hit.
+    """
+    machine, agent, unrelated = _probe_bench_agent()
+    run_suite = agent.run_suite
+    run_suite()
+    ratios = []
+    for _ in range(pairs):
+        after_install = steady = 0.0
+        for i in range(cycles):
+            machine.install_zone(unrelated[i % 2])
+            started = _now()
+            run_suite()
+            middle = _now()
+            run_suite()
+            after_install += middle - started
+            steady += _now() - middle
+        ratios.append(after_install / steady)
+    return statistics.median(ratios)
+
+
+def bench_unicast_spf(n_hosts: int = 250) -> float:
+    """Full unicast shortest-path runs per second over the default
+    synthetic Internet with ``n_hosts`` hosts attached, each network
+    starting cold (best of 3)."""
+    from ..netsim.builder import attach_host, build_internet
+
+    rng = random.Random(7)
+    internet = build_internet(rng)
+    for _ in range(n_hosts):
+        attach_host(internet, rng)
+    topology = internet.topology
+    nodes = [node.node_id for node in topology.nodes()]
+
+    def one_run() -> float:
+        network = Network(EventLoop(), topology, random.Random(7))
+        unicast_latency = network.unicast_latency
+        started = _now()
+        for src in nodes:
+            unicast_latency(src, nodes[0])
+        return _now() - started
+
+    return len(nodes) / _best_of(one_run)
+
+
 def bench_pending_ratio(large: int = 20_000, small: int = 50) -> float:
     """Cost ratio of ``loop.pending`` at two queue sizes (~1 when O(1))."""
 
@@ -458,6 +548,8 @@ def run_micro() -> dict:
                 signed_do1 / signed_do0, 3),
             "wire_roundtrip_vs_respond_ratio": round(
                 bench_wire_roundtrip_ratio(), 3),
+            "probe_cycle_after_install_ratio": round(
+                bench_probe_cycle_after_install_ratio(), 3),
         },
         "info": {
             # Absolute throughput; varies with host, never gated.
@@ -475,6 +567,7 @@ def run_micro() -> dict:
             "signed_respond_do1_qps": round(10_000 / signed_do1),
             "wire_encode_msgs_per_sec": round(10_000 / codec_encode),
             "wire_decode_msgs_per_sec": round(10_000 / codec_decode),
+            "unicast_spf_per_sec": round(bench_unicast_spf()),
         },
     }
 
@@ -488,6 +581,7 @@ _GATED = {
     "telemetry_enabled_overhead_ratio": "lower",
     "signed_respond_overhead_ratio": "lower",
     "wire_roundtrip_vs_respond_ratio": "lower",
+    "probe_cycle_after_install_ratio": "lower",
 }
 
 
