@@ -27,43 +27,41 @@ Run:  python examples/defense_ladder.py
 """
 
 from repro.experiments.resilience_scorecard import (
+    REGISTRY,
     ScorecardParams,
-    build_deployment,
     run_campaign,
-    standard_campaigns,
 )
 
 
 def main() -> None:
     params = ScorecardParams.fast(42)
-    print("Enumerating the scorecard suite (fast platform)...\n")
-    suite = standard_campaigns(build_deployment(params), params.seed)
-
     for wanted in ("defense-ladder", "defense-guardrail"):
-        campaign, slo = next((c, s) for c, s in suite
-                             if c.name == wanted)
-        print(f"== {campaign.name}: {campaign.description}")
+        entry = next(e for e in REGISTRY["standard"] if e.name == wanted)
+        print(f"== {entry.name} (fast platform)")
         print("   running (fresh deployment, ~a minute)...")
-        outcome = run_campaign(params, campaign, slo)
+        outcome = run_campaign(params, entry)
+        print(f"   {outcome.campaign.description}")
 
         print("\n   fault timeline:")
         for line in outcome.fault_log.splitlines():
             print(f"     {line}")
         print("\n   ladder transitions:")
-        for line in outcome.defense_timeline:
+        defense = outcome.defense
+        controller = defense.controller
+        for line in controller.timeline():
             print(f"     {line}")
 
         report = outcome.report
         print(f"\n   attack detected after    "
-              f"{outcome.defense_attack_detect_seconds:.1f}s "
+              f"{defense.attack_detect_seconds:.1f}s "
               f"(attack-qps alert)")
-        print(f"   highest escalation level {outcome.defense_max_level} "
-              f"(final {outcome.defense_final_level})")
-        print(f"   guardrail reverts        {outcome.defense_reverts}")
-        if (outcome.defense_unwound_at is not None
-                and outcome.defense_attack_end is not None):
+        print(f"   highest escalation level {controller.max_level} "
+              f"(final {controller.level})")
+        print(f"   guardrail reverts        {controller.reverts}")
+        unwound_at = controller.unwound_at()
+        if unwound_at is not None and defense.attack_end is not None:
             print(f"   fully unwound            "
-                  f"{outcome.defense_unwound_at - outcome.defense_attack_end:.1f}s "
+                  f"{unwound_at - defense.attack_end:.1f}s "
                   f"after the flood stopped")
         print(f"   overall availability     "
               f"{report.overall_availability:.1%} "

@@ -73,19 +73,25 @@ def _build_zone(params: Fig10Params):
 def _run_point(params: Fig10Params, attack_rate: float,
                filter_enabled: bool) -> float:
     """One testbed run; returns the fraction of legit queries answered."""
-    rng = random.Random(params.seed)
     loop = EventLoop()
     store = ZoneStore()
     # reprolint: disable-next=ROB001 -- synthetic testbed bootstrap
     store.add(_build_zone(params))
     engine = AuthoritativeEngine(store)
     filters = []
-    nxd = None
     if filter_enabled:
-        nxd = NXDomainFilter(store, NXDomainConfig(trigger_count=50,
-                                                   window_seconds=10.0))
-        filters.append(nxd)
-    machine = NameserverMachine(
+        filters.append(NXDomainFilter(
+            store, NXDomainConfig(trigger_count=50, window_seconds=10.0)))
+    machine = _testbed_machine(params, loop, engine, filters)
+    return _drive(params, attack_rate, loop, machine,
+                  [f"172.20.0.{i + 1}"
+                   for i in range(params.n_resolver_sources)])
+
+
+def _testbed_machine(params: Fig10Params | Fig10SignedParams,
+                     loop: EventLoop, engine: AuthoritativeEngine,
+                     filters: list) -> NameserverMachine:
+    return NameserverMachine(
         loop, "testbed-ns", engine, ScoringPipeline(filters), QueuePolicy(),
         MachineConfig(compute_capacity_qps=params.compute_capacity,
                       io_capacity_qps=params.io_capacity,
@@ -93,7 +99,16 @@ def _run_point(params: Fig10Params, attack_rate: float,
                       queue_depth=400,
                       staleness_threshold=float("inf")))
 
-    sources = [f"172.20.0.{i + 1}" for i in range(params.n_resolver_sources)]
+
+def _drive(params: Fig10Params | Fig10SignedParams, attack_rate: float,
+           loop: EventLoop, machine: NameserverMachine, sources: list[str],
+           do_cut: int = 0) -> float:
+    """Drive the legit and attack streams; return the legit goodput.
+
+    Queries from the first ``do_cut`` sources set DO=1. Each query draws
+    its qname, then its source index, then its source port.
+    """
+    rng = random.Random(params.seed)
     valid = [name(f"h{i}.{VICTIM_ZONE}")
              for i in range(params.n_valid_hosts)]
     victim = name(VICTIM_ZONE)
@@ -102,27 +117,27 @@ def _run_point(params: Fig10Params, attack_rate: float,
     measure_end = params.warmup_seconds + params.measure_seconds
     counters = {"legit_sent": 0}
 
-    # This closure runs hundreds of thousands of times per point, so the
-    # stdlib RNG conveniences are replaced with the exact primitives they
-    # wrap (choice -> seq[_randbelow(n)], randint(a, b) ->
-    # a + _randbelow(b - a + 1)) — identical bit consumption, no wrapper
-    # frames — and hot globals are bound as defaults.
-    def send(is_attack: bool, *, randbelow=rng._randbelow,
+    # This closure runs hundreds of thousands of times per point, so
+    # hot globals are bound as defaults.
+    def send(is_attack: bool, *, randrange=rng.randrange,
              n_valid=len(valid), n_sources=len(sources),
              receive=machine.receive_query) -> None:
         mid = msg_id[0] = (msg_id[0] + 1) & 0xFFFF
         if is_attack:
             qname = victim.prepend(random_label(rng))
         else:
-            qname = valid[randbelow(n_valid)]
+            qname = valid[randrange(n_valid)]
+        src_index = randrange(n_sources)
         query = Message(msg_id=mid, flags=Flags())
         query.questions.append(Question(qname, RType.A))
+        if src_index < do_cut:
+            query.edns = EDNSOptions(payload_size=1232, dnssec_ok=True)
         if not is_attack and measure_start <= loop.now < measure_end:
             counters["legit_sent"] += 1
         receive(Datagram(
-            src=sources[randbelow(n_sources)], dst="testbed",
+            src=sources[src_index], dst="testbed",
             payload=QueryEnvelope(query, is_attack=is_attack),
-            src_port=1024 + randbelow(64512)))
+            src_port=1024 + randrange(64512)))
 
     def schedule_stream(rate: float, is_attack: bool) -> None:
         if rate <= 0:
@@ -223,7 +238,6 @@ class Fig10SignedParams:
 def _run_signed_point(params: Fig10SignedParams, attack_rate: float,
                       mode: DenialMode) -> dict:
     """One signed testbed run; returns goodput plus cache observables."""
-    rng = random.Random(params.seed)
     loop = EventLoop()
     zone = _build_zone(params)
     keys = KeyRing(params.seed, zone.origin)
@@ -236,26 +250,11 @@ def _run_signed_point(params: Fig10SignedParams, attack_rate: float,
     engine.dnssec.register_keyring(keys)
     engine.dnssec.clock = lambda: loop.now
     engine.dnssec.denial_mode = mode
-    machine = NameserverMachine(
-        loop, "testbed-ns", engine, ScoringPipeline([]), QueuePolicy(),
-        MachineConfig(compute_capacity_qps=params.compute_capacity,
-                      io_capacity_qps=params.io_capacity,
-                      io_burst_seconds=0.05,
-                      queue_depth=400,
-                      staleness_threshold=float("inf")))
-
-    sources = [f"172.21.0.{i + 1}" for i in range(params.n_resolver_sources)]
-    do_cut = int(round(params.dnssec_ok_fraction * len(sources)))
-    valid = [name(f"h{i}.{VICTIM_ZONE}")
-             for i in range(params.n_valid_hosts)]
-    victim = name(VICTIM_ZONE)
+    machine = _testbed_machine(params, loop, engine, [])
     dnskeys = [r.rdata for r in
                zone.get_rrset(zone.origin, RType.DNSKEY).records]
-    msg_id = [0]
-    measure_start = params.warmup_seconds
-    measure_end = params.warmup_seconds + params.measure_seconds
-    counters = {"legit_sent": 0, "denials": 0, "denial_records": 0,
-                "bogus": 0, "checked": 0}
+    counters = {"denials": 0, "denial_records": 0, "bogus": 0,
+                "checked": 0}
 
     def observe(query: Message, response: Message) -> None:
         if response.answers or not response.authority:
@@ -274,49 +273,12 @@ def _run_signed_point(params: Fig10SignedParams, attack_rate: float,
 
     engine.response_observers.append(observe)
 
-    def send(is_attack: bool, *, randbelow=rng._randbelow,
-             n_valid=len(valid), n_sources=len(sources),
-             receive=machine.receive_query) -> None:
-        mid = msg_id[0] = (msg_id[0] + 1) & 0xFFFF
-        if is_attack:
-            qname = victim.prepend(random_label(rng))
-        else:
-            qname = valid[randbelow(n_valid)]
-        src_index = randbelow(n_sources)
-        query = Message(msg_id=mid, flags=Flags())
-        query.questions.append(Question(qname, RType.A))
-        if src_index < do_cut:
-            query.edns = EDNSOptions(payload_size=1232, dnssec_ok=True)
-        if not is_attack and measure_start <= loop.now < measure_end:
-            counters["legit_sent"] += 1
-        receive(Datagram(
-            src=sources[src_index], dst="testbed",
-            payload=QueryEnvelope(query, is_attack=is_attack),
-            src_port=1024 + randbelow(64512)))
-
-    def schedule_stream(rate: float, is_attack: bool) -> None:
-        if rate <= 0:
-            return
-
-        def fire(*, random=rng.random, log=math.log,
-                 call_later=loop.call_later) -> None:
-            if loop.now >= measure_end:
-                return
-            send(is_attack)
-            call_later(-log(1.0 - random()) / rate, fire)
-
-        loop.call_later(rng.expovariate(rate), fire)
-
-    schedule_stream(params.legit_rate, is_attack=False)
-    schedule_stream(attack_rate, is_attack=True)
-
-    loop.run_until(measure_start)
-    legit_answered_at_start = machine.metrics.legit_answered
-    loop.run_until(measure_end + 2.0)
-    answered = machine.metrics.legit_answered - legit_answered_at_start
-    sent = counters["legit_sent"]
+    sources = [f"172.21.0.{i + 1}" for i in range(params.n_resolver_sources)]
+    goodput = _drive(params, attack_rate, loop, machine, sources,
+                     do_cut=int(round(params.dnssec_ok_fraction
+                                      * len(sources))))
     return {
-        "goodput": answered / sent if sent else 0.0,
+        "goodput": goodput,
         "plan_cache_wipes": engine.plan_cache_wipes,
         "neg_plans": len(engine._signed_neg_plans),
         "denial_records_avg": (counters["denial_records"]

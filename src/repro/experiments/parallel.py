@@ -128,8 +128,8 @@ def work_units(fast: bool,
         if label == "fig8":
             units.extend((label, part) for part in range(2))
         elif label == "resilience":
-            n = resilience_scorecard.unit_count(_resilience_params(fast))
-            units.extend((label, part) for part in range(n))
+            units.extend((label, part) for part
+                         in range(resilience_scorecard.unit_count()))
         else:
             units.append((label, 0))
     return units
@@ -213,14 +213,8 @@ def run_serial(fast: bool,
     results = []
     for label in select_labels(only):
         with wrap(label):
-            if label == "fig8":
-                parts = [run_unit((label, p), fast) for p in range(2)]
-            elif label == "resilience":
-                n = resilience_scorecard.unit_count(
-                    _resilience_params(fast))
-                parts = [run_unit((label, p), fast) for p in range(n)]
-            else:
-                parts = [run_unit((label, 0), fast)]
+            parts = [run_unit(unit, fast)
+                     for unit in work_units(fast, [label])]
         result = merge_label(label, parts, fast)
         if progress is not None:
             progress(label, result)

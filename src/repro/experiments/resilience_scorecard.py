@@ -16,6 +16,13 @@ worst-window availability and post-clear time-to-recovery against the
 targets each resilience mechanism implies. Runs are pure functions of
 the seed: rerunning with the same seed reproduces every fault edge,
 probe, and scorecard digit bit-for-bit.
+
+Campaigns live in one registry (:data:`REGISTRY`): each family is a
+tuple of :class:`Entry` — a name, a builder ``(deployment, seed) ->
+Campaign``, and the ordered check functions that grade it. A check
+that needs a measurement rig (the rollout train, the defense ladder,
+the gray prober) declares its :class:`Harness` with :func:`needs`; a
+campaign runs with exactly the harnesses its checks need.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..analysis.report import ExperimentResult
 from ..chaos import (
@@ -83,6 +91,17 @@ COOLDOWN = 30.0            # post-campaign window so recovery is observable
 #: rollback ~20s) completes *within* the soak, which is what the
 #: blast-radius SLO asserts.
 ROLLOUT_SOAK = 45.0
+#: Escalation levels the defense ladder must reach under sustained attack.
+DEFENSE_MIN_CLIMB = 3
+#: Known-resolver availability floor from the first rung engaging to
+#: the attack ending.
+DEFENSE_FLOOR = 0.60
+#: Budget from the flood stopping to the ladder back at level 0.
+DEFENSE_UNWIND_SECONDS = 30.0
+#: Fleet availability floor over the gray-fault window when correlated
+#: gray faults exceed the suspension budget (degraded-but-serving beats
+#: dark).
+GRAY_FLOOR = 0.50
 
 
 @dataclass(slots=True)
@@ -102,7 +121,7 @@ class ScorecardParams:
     probe_window: float = 5.0
     answer_deadline: float = 2.0
     #: Recovery budget every campaign must meet (availability targets
-    #: are per-campaign, in :class:`CampaignSLO`).
+    #: are per-campaign check parameters).
     max_recovery_seconds: float = 25.0
     #: Budget from first fault injection to the telemetry pipeline's
     #: probe-failure alert, for campaigns that expect a visible dip.
@@ -124,66 +143,282 @@ class ScorecardParams:
                    n_edge_servers=8, probe_period=0.5)
 
 
-@dataclass(slots=True)
-class CampaignSLO:
-    """What a specific campaign is allowed to cost users.
+# -- harnesses ---------------------------------------------------------------
 
-    Most failure modes must be absorbed nearly invisibly (the
-    resiliency ladder exists exactly for them); zone corruption and the
-    combined storm are *expected* to dip — a dip that the probe fails
-    to see would mean the measurement is broken, so ``expect_dip``
-    asserts the degradation too.
+
+class Harness:
+    """A measurement rig that a check can need.
+
+    Class attributes are the rig's deployment settings:
+    ``machine_config`` and ``deployment_params`` override
+    :class:`MachineConfig` and :class:`DeploymentParams` fields,
+    ``enterprises`` are provisioned before the deployment settles, and
+    ``arms_mitigations`` lets the rig mutate sim state through the
+    telemetry session. An instance, built as ``cls(deployment,
+    telemetry, entry, campaign)``, wires the rig onto the settled
+    deployment, takes its measurements, and is stored on the
+    :class:`CampaignOutcome` field called ``name``.
     """
 
-    min_overall: float = 0.97
-    min_worst_window: float = 0.50
-    expect_dip: bool = False
-    #: Build the campaign's deployment with the safe-rollout train and
-    #: per-machine zone guard enabled (control.rollout).
-    rollout: bool = False
-    #: Grade blast-radius containment: no machine outside the canary
-    #: cohort may ever serve a wrong answer for the probe zone, at
-    #: least one canary must (proving the corruption actually landed),
-    #: and the automatic rollback must complete within the soak window.
-    contain_blast: bool = False
-    #: Grade validator rejection: exactly this many releases must be
-    #: rejected up front, with zero machines serving a wrong answer.
-    expect_reject: int = 0
-    #: Grade canary containment of a release that *passes* validation
-    #: but goes bogus while soaking (DNSSEC signature expiry): the
-    #: canary health gate must trip and the rollback must land within
-    #: the soak window, while the data plane — every non-validating
-    #: client — never sees a wrong answer or a dip.
-    expect_rollback: bool = False
-    #: Arm the closed-loop defense ladder (control.defense) on this
-    #: campaign's deployment and grade detection, climb, the
-    #: legitimate-availability floor while mitigations hold, and the
-    #: full symmetric unwind after the attack ends.
-    defense: bool = False
-    #: Escalation levels the ladder must reach under sustained attack.
-    defense_min_climb: int = 3
-    #: Known-resolver availability floor from the first rung engaging
-    #: to the attack ending.
-    defense_floor: float = 0.60
-    #: Budget from the flood stopping to the ladder back at level 0.
-    defense_unwind_seconds: float = 30.0
-    #: Prepend a deliberately over-broad firewall rung (it drops the
-    #: probe zone itself) and grade that the collateral-damage guardrail
-    #: auto-reverts and latches it within its soak window.
-    defense_overblock: bool = False
-    #: Enable the external gray-failure prober (control.grayfail) on
-    #: this campaign's deployment and grade conviction through the
-    #: suspension quorum, self-monitor blindness, detection latency,
-    #: and probationary rejoin.
-    gray: bool = False
-    #: Grade the quorum guard instead of single-machine conviction:
-    #: correlated gray faults beyond the suspension budget must NOT
-    #: mass-suspend — suspensions stay within budget, at least one
-    #: request is denied, and the fleet degrades but keeps serving.
-    gray_quorum_guard: bool = False
-    #: Fleet availability floor over the gray-fault window in the
-    #: quorum-guard campaign (degraded-but-serving beats dark).
-    gray_floor: float = 0.50
+    name: str
+    machine_config: dict = {}
+    deployment_params: dict = {}
+    enterprises: tuple[tuple[str, str], ...] = ()
+    arms_mitigations = False
+
+    def collect(self, engine: ChaosEngine) -> None:
+        """Take the measurements that need the campaign's fault log."""
+
+
+class RolloutTrain(Harness):
+    """The safe-rollout train with a blast recorder on every machine.
+
+    Canary cohort, health gate and ``ROLLOUT_SOAK`` soak are wired in,
+    and every machine validates zone updates before install. A "wrong
+    answer" is a response to a concrete name strictly under the probe
+    zone (the wildcard guarantees every such A query a NOERROR answer
+    from a healthy zone) that is NXDOMAIN, SERVFAIL, or empty.
+    ``blast`` keeps the *first* wrong-answer time per machine: its keys
+    are the campaign's blast radius.
+    """
+
+    name = "rollout"
+    machine_config = {"zone_guard_enabled": True}
+    deployment_params = {"rollout_enabled": True,
+                         "rollout": RolloutParams(soak_seconds=ROLLOUT_SOAK,
+                                                  check_period=1.0)}
+
+    def __init__(self, deployment: AkamaiDNSDeployment,
+                 telemetry: Telemetry, entry: Entry,
+                 campaign: Campaign) -> None:
+        self.train = deployment.rollout
+        self.blast: dict[str, float] = {}
+        self._apex = name(PROBE_ZONE)
+        self._loop = deployment.loop
+        for machine in deployment.machines():
+            machine.engine.response_observers.append(
+                lambda query, response, mid=machine.machine_id:
+                self._observe(mid, query, response))
+
+    def _observe(self, machine_id, query, response) -> None:
+        if machine_id in self.blast or not query.questions:
+            return
+        question = query.questions[0]
+        if (question.qtype is not RType.A
+                or question.qname == self._apex
+                or not question.qname.is_subdomain_of(self._apex)):
+            return
+        answered = response.rcode is RCode.NOERROR and bool(response.answers)
+        if not answered:
+            self.blast[machine_id] = self._loop.now
+
+    @property
+    def canary_ids(self) -> set[str]:
+        return {machine.machine_id for machine in self.train.canaries}
+
+    def rollback_seconds(self) -> float | None:
+        """Corrupt publish to the last canary installing the rollback.
+
+        None when no rollback happened.
+        """
+        origin = str(name(PROBE_ZONE))
+        rolled = [r.published_at for r in self.train.releases
+                  if r.phase is RolloutPhase.ROLLED_BACK
+                  and str(r.origin) == origin]
+        installs = [t for machine in self.train.canaries
+                    for t, action, zone, _serial in machine.zone_install_log
+                    if action == "rollback" and zone == origin]
+        if rolled and installs:
+            return max(installs) - min(rolled)
+        return None
+
+
+def _overblock_firewall(machines) -> FirewallRuleRung:
+    """Deliberate collateral: a rung that firewalls the probe zone."""
+    return FirewallRuleRung(machines, name(f"x.{PROBE_ZONE}"), RType.A,
+                            name="overblock-firewall",
+                            soak_seconds=OVERBLOCK_SOAK,
+                            cool_off_seconds=300.0)
+
+
+class DefenseLadder(Harness):
+    """The closed-loop defense ladder (control.defense).
+
+    Machines are deliberately under-provisioned (a few hundred qps of
+    compute, a short queue) so a chaos-campaign flood genuinely
+    saturates them, and the flood's victim zone is provisioned so the
+    attack is the paper's pseudo-random-subdomain class.
+
+    Wired after ``settle`` so warm-up traffic never feeds the attack
+    detector. The ladder is mildest-first: tighten penalty-queue bands,
+    insert per-source rate limiting, firewall the flooded zone's shape,
+    and finally withdraw a fraction of peering links at the attacked
+    cloud's first PoP (Figure 9 action III). The campaign's own
+    ``Entry.rungs`` go below all of them.
+    """
+
+    name = "defense"
+    machine_config = {"compute_capacity_qps": 150.0,
+                      "io_capacity_qps": 3_000.0, "queue_depth": 500}
+    enterprises = (("victim-enterprise", VICTIM_ZONE),)
+    arms_mitigations = True
+
+    def __init__(self, deployment: AkamaiDNSDeployment,
+                 telemetry: Telemetry, entry: Entry,
+                 campaign: Campaign) -> None:
+        machines = deployment.machines()
+        for machine in machines:
+            machine.known_sources.add("slo-resolver")
+        telemetry.alerts.add(
+            RateDetector(ATTACK_QPS_ALERT, window=1.0, threshold=120.0,
+                         for_windows=2, clear_windows=2,
+                         severity=AlertSeverity.CRITICAL), "qps")
+        spec = next(f for f in campaign.faults
+                    if f.kind is FaultKind.ATTACK_FLOOD)
+        cloud = next(c for c in deployment.clouds
+                     if c.prefix == spec.target)
+        pop_router = deployment.cloud_pops[cloud.index][0]
+        engineer = TrafficEngineer(deployment.network, cloud.prefix)
+        te_plan = engineer.plan(
+            AttackSituation(resolvers_dosed=True,
+                            peering_links_congested=False,
+                            compute_saturated=True,
+                            can_spread_attack=False),
+            pop_router_id=pop_router,
+            attack_peers=deployment.network.topology.bgp_neighbors(
+                pop_router),
+            fraction=0.34)
+        ladder: list = [
+            QueueTightenRung(machines, factor=0.5),
+            FilterInsertRung(machines, lambda machine: RateLimitFilter(),
+                             name="rate-limit"),
+            FirewallRuleRung(machines, name(f"x.{VICTIM_ZONE}"), RType.A,
+                             name="victim-firewall"),
+            TrafficEngRung(engineer, te_plan),
+        ]
+        ladder[:0] = [make(machines) for make in entry.rungs]
+        self.controller = DefenseController(
+            deployment.loop, ladder, alert_name=ATTACK_QPS_ALERT,
+            params=DefenseParams(guardrail=GuardrailParams(
+                margin=0.25, min_samples=4)),
+            estimator=known_resolver_estimator(machines),
+            machines=machines)
+        self.controller.arm(telemetry)
+        self._alerts = telemetry.alerts
+        #: Seconds from the first flood inject to the attack-qps alert.
+        self.attack_detect_seconds: float | None = None
+        #: When the last flood cleared (loop-absolute seconds).
+        self.attack_end: float | None = None
+
+    def collect(self, engine: ChaosEngine) -> None:
+        injects = [e.time for e in engine.events
+                   if e.action == "inject"
+                   and e.spec.kind is FaultKind.ATTACK_FLOOD]
+        clears = [e.time for e in engine.clears()
+                  if e.spec.kind is FaultKind.ATTACK_FLOOD]
+        if clears:
+            self.attack_end = max(clears)
+        if injects:
+            alert = self._alerts.first_raise_after(min(injects),
+                                                   name=ATTACK_QPS_ALERT)
+            if alert is not None:
+                self.attack_detect_seconds = alert.raised_at - min(injects)
+
+    @property
+    def engaged_at(self) -> float | None:
+        """When the first rung engaged (loop-absolute seconds)."""
+        return next((t.time for t in self.controller.transitions
+                     if t.action == "engage"), None)
+
+    @property
+    def revert_after(self) -> float | None:
+        """Engage-to-revert delta of the first guardrail-reverted rung."""
+        transitions = self.controller.transitions
+        for i, transition in enumerate(transitions):
+            if transition.action != "revert":
+                continue
+            prior = [p for p in transitions[:i]
+                     if p.rung == transition.rung and p.action == "engage"]
+            return transition.time - prior[-1].time if prior else None
+        return None
+
+
+class GrayProber(Harness):
+    """The external gray-failure prober (control.grayfail).
+
+    Enabled after settle so the baseline before the first fault is
+    already under differential audit. At the instant the prober
+    convicts a machine, ``self_healthy`` snapshots what the machine's
+    *own* monitoring suite says. A green self-report there is the
+    gray-failure property itself: internal probes blind, external
+    evidence damning.
+    """
+
+    name = "gray"
+
+    def __init__(self, deployment: AkamaiDNSDeployment,
+                 telemetry: Telemetry, entry: Entry,
+                 campaign: Campaign) -> None:
+        self.prober = deployment.enable_grayfail()
+        agents = {d.machine.machine_id: d.agent
+                  for d in deployment.regular_deployments()}
+        self.self_healthy: dict[str, bool] = {}
+
+        def snapshot_self_view(machine_id: str) -> None:
+            agent = agents.get(machine_id)
+            if agent is not None and machine_id not in self.self_healthy:
+                self.self_healthy[machine_id] = agent.run_suite().healthy
+
+        self.prober.on_convict.append(snapshot_self_view)
+        #: Seconds from the first gray inject to the first conviction.
+        self.ttd_seconds: float | None = None
+        #: (first inject, last clear) across the campaign's gray faults.
+        self.window: tuple[float, float] | None = None
+
+    def collect(self, engine: ChaosEngine) -> None:
+        injects = [e.time for e in engine.events
+                   if e.action == "inject"
+                   and e.spec.kind.value.startswith("gray_")]
+        clears = [e.time for e in engine.clears()
+                  if e.spec.kind.value.startswith("gray_")]
+        if injects and clears:
+            self.window = (min(injects), max(clears))
+        if injects:
+            convicted_at = [t for t, _, verdict in self.prober.timeline
+                            if verdict == "convicted"
+                            and t >= min(injects)]
+            if convicted_at:
+                self.ttd_seconds = min(convicted_at) - min(injects)
+
+
+def build_deployment(params: ScorecardParams,
+                     *harnesses: type[Harness]) -> AkamaiDNSDeployment:
+    """A fresh platform with the probe zone (wildcard answers) live.
+
+    Each harness's deployment settings apply; :func:`run_campaign`
+    wires the harnesses once the campaign is built.
+    """
+    machine: dict = {}
+    settings: dict = {}
+    for harness in harnesses:
+        machine.update(harness.machine_config)
+        settings.update(harness.deployment_params)
+    deployment = AkamaiDNSDeployment(DeploymentParams(
+        seed=params.seed, internet=params.internet,
+        n_pops=params.n_pops, deployed_clouds=params.deployed_clouds,
+        machines_per_pop=params.machines_per_pop,
+        pops_per_cloud=params.pops_per_cloud,
+        n_edge_servers=params.n_edge_servers,
+        filters_enabled=False,
+        machine_config=MachineConfig(**machine),
+        **settings))
+    deployment.provision_enterprise(
+        "slo-enterprise", PROBE_ZONE, "* IN A 203.0.113.53\n")
+    for harness in harnesses:
+        for enterprise, zone in harness.enterprises:
+            deployment.provision_enterprise(enterprise, zone)
+    deployment.settle(30)
+    return deployment
 
 
 @dataclass(slots=True)
@@ -198,47 +433,11 @@ class CampaignOutcome:
     #: pipeline's probe-failure alert; None when no alert fired (the
     #: resiliency ladder absorbed the fault below the SLO surface).
     detection_seconds: float | None = None
-    #: machine_id -> first time it served a wrong answer for the probe
-    #: zone (rollout campaigns only; empty otherwise).
-    blast: dict[str, float] = field(default_factory=dict)
-    #: The deployment's canary cohort (rollout campaigns only).
-    canary_ids: tuple[str, ...] = ()
-    #: Seconds from publishing the corrupt release to the last canary
-    #: installing the rollback; None when no rollback happened.
-    rollback_complete_seconds: float | None = None
-    #: Releases the rollout validator rejected before any publish.
-    rollout_rejections: int = 0
-    #: Defense-ladder measurements (defense campaigns only).
-    defense_max_level: int = 0
-    defense_final_level: int = 0
-    defense_reverts: int = 0
-    #: Seconds from the first flood inject to the attack-qps alert.
-    defense_attack_detect_seconds: float | None = None
-    #: When the first rung engaged / the last flood cleared / the
-    #: ladder last returned to level 0 (loop-absolute seconds).
-    defense_engaged_at: float | None = None
-    defense_attack_end: float | None = None
-    defense_unwound_at: float | None = None
-    #: Engage-to-revert delta of the first guardrail-reverted rung.
-    defense_revert_after: float | None = None
-    defense_timeline: list[str] = field(default_factory=list)
-    #: Gray-failure prober measurements (gray campaigns only).
-    gray_convictions: int = 0
-    gray_suspensions: int = 0
-    gray_denials: int = 0
-    gray_rejoins: int = 0
-    gray_budget: int = 0
-    #: verdict value -> machine count when the campaign ended.
-    gray_final_verdicts: dict[str, int] = field(default_factory=dict)
-    #: Seconds from the first gray inject to the first conviction.
-    gray_ttd_seconds: float | None = None
-    #: Slowest first-differential-evidence-to-conviction latency.
-    gray_detection_latency: float | None = None
-    #: machine_id -> its *own* health suite verdict at conviction time
-    #: (True == still calling itself healthy: the gray property).
-    gray_self_healthy: dict[str, bool] = field(default_factory=dict)
-    #: (first inject, last clear) across the campaign's gray faults.
-    gray_window: tuple[float, float] | None = None
+    #: One field per harness, named after it; None unless one of the
+    #: campaign's checks needs that harness.
+    rollout: RolloutTrain | None = None
+    defense: DefenseLadder | None = None
+    gray: GrayProber | None = None
 
     @property
     def worst_recovery(self) -> float | None:
@@ -257,397 +456,54 @@ class CampaignOutcome:
         return max(measured)
 
 
-def standard_campaigns(deployment: AkamaiDNSDeployment,
-                       seed: int) -> list[tuple[Campaign, CampaignSLO]]:
-    """The fixed suite every scorecard run grades.
+# -- registry entries and checks ---------------------------------------------
 
-    Targets are chosen deterministically from the deployment (first
-    PoPs, one whole cloud's PoP set), so the suite itself is part of
-    the seed.
-    """
-    pops = sorted(deployment.pops)
-    # Every PoP advertising the probed enterprise's first assigned
-    # cloud: taking all of them out at once defeats anycast failover
-    # *within* the cloud and forces the resolver to fail over *across*
-    # clouds — the visible-degradation case.
-    delegation = deployment.assigner.assign("slo-enterprise")
-    slo_zone_cloud = next(c for c in delegation if c in deployment.clouds)
-    cloud_pops = deployment.cloud_pops[slo_zone_cloud.index]
-    suite: list[tuple[Campaign, CampaignSLO]] = []
-
-    c = Campaign("pop-loss", duration=70.0, seed=seed,
-                 description="one PoP partitioned off the Internet; "
-                             "anycast reroutes to surviving PoPs")
-    c.add(FaultSpec(FaultKind.PARTITION, pops[0],
-                    Schedule.once(WARMUP, 25.0)))
-    suite.append((c, CampaignSLO()))
-
-    c = Campaign("machine-attrition", duration=80.0, seed=seed,
-                 description="machines crash across two PoPs; restart "
-                             "timers and quorum-bounded suspension recover")
-    c.add(FaultSpec(FaultKind.MACHINE_CRASH, pops[0],
-                    Schedule.once(WARMUP, 20.0)))
-    c.add(FaultSpec(FaultKind.MACHINE_CRASH, pops[1],
-                    Schedule.once(WARMUP + 10.0, 20.0)))
-    suite.append((c, CampaignSLO()))
-
-    c = Campaign("metadata-freeze", duration=80.0, seed=seed,
-                 description="publisher-side metadata freeze; staleness "
-                             "clocks run but answers keep flowing")
-    c.add(FaultSpec(FaultKind.METADATA_FREEZE, "platform",
-                    Schedule.once(WARMUP, 30.0)))
-    suite.append((c, CampaignSLO()))
-
-    c = Campaign("bgp-churn", duration=80.0, seed=seed,
-                 description="control-plane resets and a degraded uplink "
-                             "while the data plane stays up")
-    c.add(FaultSpec(FaultKind.BGP_RESET, pops[2],
-                    Schedule.periodic(WARMUP, 15.0, 6.0, 2)))
-    c.add(FaultSpec(FaultKind.LINK_DEGRADE, pops[1], severity=0.3,
-                    schedule=Schedule.once(WARMUP + 5.0, 25.0)))
-    suite.append((c, CampaignSLO()))
-
-    c = Campaign("zone-corruption", duration=80.0, seed=seed,
-                 description="truncated zone transfer installs cleanly, "
-                             "serves NXDOMAIN invisibly to SOA probes, "
-                             "then republication restores contents")
-    c.add(FaultSpec(FaultKind.ZONE_CORRUPTION, PROBE_ZONE,
-                    Schedule.once(WARMUP, 25.0)))
-    suite.append((c, CampaignSLO(min_overall=0.55, min_worst_window=0.0,
-                                 expect_dip=True)))
-
-    c = Campaign("combined-storm", duration=110.0, seed=seed,
-                 description="crash loops across a whole cloud, its "
-                             "input-delayed refuge partitioned, pubsub "
-                             "partition + link flaps on top: graceful "
-                             "degradation, then full recovery")
-    for pop_id in cloud_pops:
-        c.add(FaultSpec(FaultKind.CRASH_LOOP, pop_id,
-                        Schedule.once(WARMUP, 35.0)))
-    # The cloud's first PoP hosts its input-delayed machine — the
-    # machine that would otherwise keep the cloud answering through the
-    # crash loop (section 4.2.3 working as designed). Partitioning that
-    # PoP darkens the whole cloud, so the dip becomes client-visible.
-    c.add(FaultSpec(FaultKind.PARTITION, cloud_pops[0],
-                    Schedule.once(WARMUP + 4.0, 30.0)))
-    c.add(FaultSpec(FaultKind.PUBSUB_PARTITION, pops[1],
-                    Schedule.once(WARMUP + 5.0, 35.0)))
-    c.add(FaultSpec(FaultKind.LINK_FLAP, pops[2],
-                    Schedule.periodic(WARMUP + 2.0, 12.0, 5.0, 3)))
-    c.add(FaultSpec(FaultKind.SLOW_IO, pops[0], severity=0.5,
-                    schedule=Schedule.once(WARMUP + 8.0, 30.0)))
-    suite.append((c, CampaignSLO(min_overall=0.80, min_worst_window=0.30,
-                                 expect_dip=True)))
-
-    c = Campaign("defense-ladder", duration=110.0, seed=seed,
-                 description="escalating random-subdomain flood at the "
-                             "probe zone's cloud; the defense ladder "
-                             "detects, climbs rung by rung, contains the "
-                             "attack, then fully unwinds")
-    c.add(FaultSpec(FaultKind.ATTACK_FLOOD, slo_zone_cloud.prefix,
-                    Schedule.once(WARMUP, 30.0), severity=250.0,
-                    note=VICTIM_ZONE))
-    c.add(FaultSpec(FaultKind.ATTACK_FLOOD, slo_zone_cloud.prefix,
-                    Schedule.once(WARMUP + 30.0, 30.0), severity=500.0,
-                    note=VICTIM_ZONE))
-    suite.append((c, CampaignSLO(min_overall=0.70, min_worst_window=0.0,
-                                 defense=True)))
-
-    # A cloud *outside* the probe zone's delegation: attacking it leaves
-    # legitimate traffic untouched (attack damage ~0), so an over-broad
-    # mitigation is the only thing shedding good traffic — the cleanest
-    # possible guardrail trip.
-    offside_cloud = next((c for c in deployment.clouds
-                          if c not in delegation), slo_zone_cloud)
-    c = Campaign("defense-guardrail", duration=90.0, seed=seed,
-                 description="flood at a cloud outside the probe zone's "
-                             "delegation; a deliberately over-broad "
-                             "firewall rung sheds good traffic and the "
-                             "collateral-damage guardrail reverts and "
-                             "latches it, then the safe rungs climb")
-    c.add(FaultSpec(FaultKind.ATTACK_FLOOD, offside_cloud.prefix,
-                    Schedule.once(WARMUP, 40.0), severity=300.0,
-                    note=VICTIM_ZONE))
-    suite.append((c, CampaignSLO(min_overall=0.80, min_worst_window=0.0,
-                                 expect_dip=True, defense=True,
-                                 defense_overblock=True)))
-
-    c = Campaign("rollout-containment", duration=90.0, seed=seed,
-                 description="semantically valid but content-corrupt zone "
-                             "rides the rollout train; canary probes trip "
-                             "the health gate and the rollback lands "
-                             "before the fleet ever sees it")
-    # "renamed" keeps the SOA/NS apex intact and bumps the serial, so
-    # the validator passes it — only the canary health gate stands
-    # between it and the fleet. That is the blast-radius case.
-    c.add(FaultSpec(FaultKind.BAD_ZONE_PUBLISH, PROBE_ZONE,
-                    Schedule.once(WARMUP, 55.0), note="renamed"))
-    suite.append((c, CampaignSLO(min_overall=0.55, min_worst_window=0.0,
-                                 rollout=True, contain_blast=True)))
-
-    c = Campaign("rollout-validation", duration=70.0, seed=seed,
-                 description="regressive, truncated and SOA-less zone "
-                             "updates are all rejected by the validator "
-                             "before a single machine sees them")
-    c.add(FaultSpec(FaultKind.BAD_ZONE_PUBLISH, PROBE_ZONE,
-                    Schedule.once(WARMUP, 8.0), note="regressive"))
-    c.add(FaultSpec(FaultKind.BAD_ZONE_PUBLISH, PROBE_ZONE,
-                    Schedule.once(WARMUP + 12.0, 8.0), note="truncated"))
-    c.add(FaultSpec(FaultKind.BAD_ZONE_PUBLISH, PROBE_ZONE,
-                    Schedule.once(WARMUP + 24.0, 8.0), note="missing-soa"))
-    suite.append((c, CampaignSLO(rollout=True, expect_reject=3)))
-
-    return suite
+#: ``check(params, outcome, result)`` appends metrics and ``compare``
+#: rows for the properties it grades.
+Check = Callable[[ScorecardParams, CampaignOutcome, ExperimentResult], None]
 
 
-def dnssec_campaigns(deployment: AkamaiDNSDeployment,
-                     seed: int) -> list[tuple[Campaign, CampaignSLO]]:
-    """The opt-in DNSSEC rollover-containment suite (``--dnssec``).
-
-    Kept out of :func:`standard_campaigns` so the standard scorecard's
-    output stays byte-identical whether or not the DNSSEC subsystem is
-    exercised. The two campaigns bracket the two ways a key rollover
-    goes wrong:
-
-    * statically detectable (zone signed by unpublished keys) — the
-      validator must reject it before any machine sees it;
-    * dynamically detectable only (signatures valid at publish, lapsing
-      mid-soak) — the canary health gate is the only line of defense,
-      and containment must be invisible to non-validating clients.
-    """
-    del deployment  # targets are fixed; signature matches standard_campaigns
-    suite: list[tuple[Campaign, CampaignSLO]] = []
-
-    c = Campaign("dnssec-expiry-rollback", duration=90.0, seed=seed,
-                 description="a correctly signed zone whose RRSIGs lapse "
-                             "mid-soak rides the rollout train; canary "
-                             "probes go bogus, the health gate trips, "
-                             "and the rollback lands inside the soak "
-                             "window with zero client-visible damage")
-    # Validity (severity) must leave room for gate detection plus
-    # worst-case rollback delivery inside the ROLLOUT_SOAK window.
-    c.add(FaultSpec(FaultKind.SIGNATURE_EXPIRY, PROBE_ZONE,
-                    Schedule.once(WARMUP, 8.0), severity=15.0))
-    suite.append((c, CampaignSLO(rollout=True, expect_rollback=True)))
-
-    c = Campaign("dnssec-key-mismatch-reject", duration=70.0, seed=seed,
-                 description="a zone signed by keys its DNSKEY RRset "
-                             "does not publish is rejected by the "
-                             "validator before any canary serves it")
-    c.add(FaultSpec(FaultKind.KEY_MISMATCH, PROBE_ZONE,
-                    Schedule.once(WARMUP, 8.0)))
-    suite.append((c, CampaignSLO(rollout=True, expect_reject=1)))
-
-    return suite
+def needs(harness: type[Harness]) -> Callable[[Check], Check]:
+    """Declare that a check reads ``harness``'s measurements."""
+    def tag(check: Check) -> Check:
+        check.harness = harness
+        return check
+    return tag
 
 
-def gray_campaigns(deployment: AkamaiDNSDeployment,
-                   seed: int) -> list[tuple[Campaign, CampaignSLO]]:
-    """The opt-in gray-failure detection suite (``--gray``).
+@dataclass(frozen=True, slots=True)
+class Entry:
+    """One registered campaign: name, builder, ordered checks."""
 
-    Kept out of :func:`standard_campaigns` so the standard scorecard's
-    output stays byte-identical whether or not the external prober is
-    exercised. The two campaigns bracket the two failure modes that
-    matter for gray faults:
+    name: str
+    build: Callable[[AkamaiDNSDeployment, int], Campaign]
+    checks: tuple[Check, ...]
+    #: ``make(machines) -> rung`` factories this campaign puts below
+    #: the defense ladder's standard rungs.
+    rungs: tuple[Callable, ...] = ()
 
-    * a single machine silently corrupting answers while its own
-      health probes stay green — only external differential probing
-      can see it, and the response must route through the suspension
-      quorum, then probation, then rejoin;
-    * correlated gray faults on *more* machines than the suspension
-      budget allows — the quorum coordinator must refuse to
-      mass-suspend, because a degraded platform that answers beats a
-      "clean" platform that is dark (section 4.2.2's capacity bound).
-    """
-    machine_ids = sorted(d.machine.machine_id
-                         for d in deployment.regular_deployments())
-    budget = deployment.coordinator.max_concurrent
-    suite: list[tuple[Campaign, CampaignSLO]] = []
-
-    c = Campaign("gray-corruption", duration=95.0, seed=seed,
-                 description="one machine silently strips every answer "
-                             "section while its own health probes stay "
-                             "green; the external prober convicts it by "
-                             "differential comparison, the quorum "
-                             "suspends it, and probation rejoins it "
-                             "after the fault clears")
-    c.add(FaultSpec(FaultKind.GRAY_CORRUPT, machine_ids[0],
-                    Schedule.once(WARMUP, 35.0)))
-    suite.append((c, CampaignSLO(min_overall=0.70, min_worst_window=0.0,
-                                 gray=True)))
-
-    # More gray machines than the coordinator will ever suspend at
-    # once, but still a strict minority of the probed fleet (the
-    # majority-answer reference needs honest peers to out-vote liars).
-    correlated = min(budget + 2, (len(machine_ids) - 1) // 2)
-    c = Campaign("gray-quorum-guard", duration=100.0, seed=seed,
-                 description=f"{correlated} machines go gray at once — "
-                             f"beyond the suspension budget of {budget}; "
-                             "the quorum refuses to mass-suspend and the "
-                             "fleet degrades but keeps serving")
-    for machine_id in machine_ids[:correlated]:
-        c.add(FaultSpec(FaultKind.GRAY_CORRUPT, machine_id,
-                        Schedule.once(WARMUP, 40.0)))
-    suite.append((c, CampaignSLO(min_overall=0.55, min_worst_window=0.0,
-                                 gray=True, gray_quorum_guard=True)))
-
-    return suite
+    @property
+    def harnesses(self) -> tuple[type[Harness], ...]:
+        """The harnesses the checks need, in first-use order."""
+        tagged = (getattr(check, "harness", None) for check in self.checks)
+        return tuple(h for h in dict.fromkeys(tagged) if h is not None)
 
 
-class _BlastRecorder:
-    """Observes every machine's responses, recording wrong answers.
-
-    A "wrong answer" is a response to a concrete name strictly under
-    the probe zone (the wildcard guarantees every such A query a
-    NOERROR answer from a healthy zone) that is NXDOMAIN, SERVFAIL, or
-    empty. The recorder keeps the *first* wrong-answer time per
-    machine: the set of keys is the campaign's blast radius.
-    """
-
-    def __init__(self, deployment: AkamaiDNSDeployment) -> None:
-        self.first_wrong: dict[str, float] = {}
-        self._apex = name(PROBE_ZONE)
-        self._loop = deployment.loop
-        for machine in deployment.machines():
-            machine.engine.response_observers.append(
-                lambda query, response, mid=machine.machine_id:
-                self._observe(mid, query, response))
-
-    def _observe(self, machine_id, query, response) -> None:
-        if machine_id in self.first_wrong or not query.questions:
-            return
-        question = query.questions[0]
-        if (question.qtype is not RType.A
-                or question.qname == self._apex
-                or not question.qname.is_subdomain_of(self._apex)):
-            return
-        answered = response.rcode is RCode.NOERROR and bool(response.answers)
-        if not answered:
-            self.first_wrong[machine_id] = self._loop.now
-
-
-def build_deployment(params: ScorecardParams, *,
-                     rollout: bool = False,
-                     defense: bool = False,
-                     gray: bool = False) -> AkamaiDNSDeployment:
-    """A fresh platform with the probe zone (wildcard answers) live.
-
-    With ``rollout`` the safe-rollout train is wired in (canary cohort,
-    health gate, ``ROLLOUT_SOAK`` soak) and every machine validates
-    zone updates before install.
-
-    With ``gray`` the external gray-failure prober
-    (:class:`~repro.control.grayfail.GrayFailController`) is enabled
-    after settle, so the baseline before the first fault is already
-    under differential audit.
-
-    With ``defense`` the machines are deliberately under-provisioned
-    (a few hundred qps of compute, a short queue) so a chaos-campaign
-    flood genuinely saturates them — the regime the defense ladder is
-    graded in — and the flood's victim zone is provisioned so the
-    attack is the paper's pseudo-random-subdomain class.
-    """
-    machine_config = MachineConfig(zone_guard_enabled=rollout)
-    if defense:
-        machine_config = MachineConfig(zone_guard_enabled=rollout,
-                                       compute_capacity_qps=150.0,
-                                       io_capacity_qps=3_000.0,
-                                       queue_depth=500)
-    deployment = AkamaiDNSDeployment(DeploymentParams(
-        seed=params.seed, internet=params.internet,
-        n_pops=params.n_pops, deployed_clouds=params.deployed_clouds,
-        machines_per_pop=params.machines_per_pop,
-        pops_per_cloud=params.pops_per_cloud,
-        n_edge_servers=params.n_edge_servers,
-        filters_enabled=False,
-        rollout_enabled=rollout,
-        rollout=RolloutParams(soak_seconds=ROLLOUT_SOAK,
-                              check_period=1.0) if rollout else None,
-        machine_config=machine_config))
-    deployment.provision_enterprise(
-        "slo-enterprise", PROBE_ZONE, "* IN A 203.0.113.53\n")
-    if defense:
-        deployment.provision_enterprise("victim-enterprise", VICTIM_ZONE)
-    deployment.settle(30)
-    if gray:
-        deployment.enable_grayfail()
-    return deployment
-
-
-def _wire_defense(deployment: AkamaiDNSDeployment, telemetry: Telemetry,
-                  campaign: Campaign,
-                  slo: CampaignSLO) -> DefenseController:
-    """Arm the standard four-rung ladder for an attack campaign.
-
-    Wired after ``settle`` so warm-up traffic never feeds the attack
-    detector. The ladder is mildest-first: tighten penalty-queue bands,
-    insert per-source rate limiting, firewall the flooded zone's shape,
-    and finally withdraw a fraction of peering links at the attacked
-    cloud's first PoP (Figure 9 action III). With
-    ``slo.defense_overblock`` a rung that firewalls the *probe* zone is
-    prepended — deliberate collateral, which the guardrail must revert.
-    """
-    machines = deployment.machines()
-    for machine in machines:
-        machine.known_sources.add("slo-resolver")
-    telemetry.alerts.add(
-        RateDetector(ATTACK_QPS_ALERT, window=1.0, threshold=120.0,
-                     for_windows=2, clear_windows=2,
-                     severity=AlertSeverity.CRITICAL), "qps")
-    spec = next(f for f in campaign.faults
-                if f.kind is FaultKind.ATTACK_FLOOD)
-    cloud = next(c for c in deployment.clouds if c.prefix == spec.target)
-    pop_router = deployment.cloud_pops[cloud.index][0]
-    engineer = TrafficEngineer(deployment.network, cloud.prefix)
-    te_plan = engineer.plan(
-        AttackSituation(resolvers_dosed=True,
-                        peering_links_congested=False,
-                        compute_saturated=True,
-                        can_spread_attack=False),
-        pop_router_id=pop_router,
-        attack_peers=deployment.network.topology.bgp_neighbors(pop_router),
-        fraction=0.34)
-    ladder: list = [
-        QueueTightenRung(machines, factor=0.5),
-        FilterInsertRung(machines, lambda machine: RateLimitFilter(),
-                         name="rate-limit"),
-        FirewallRuleRung(machines, name(f"x.{VICTIM_ZONE}"), RType.A,
-                         name="victim-firewall"),
-        TrafficEngRung(engineer, te_plan),
-    ]
-    if slo.defense_overblock:
-        ladder.insert(0, FirewallRuleRung(
-            machines, name(f"x.{PROBE_ZONE}"), RType.A,
-            name="overblock-firewall", soak_seconds=OVERBLOCK_SOAK,
-            cool_off_seconds=300.0))
-    controller = DefenseController(
-        deployment.loop, ladder, alert_name=ATTACK_QPS_ALERT,
-        params=DefenseParams(guardrail=GuardrailParams(margin=0.25,
-                                                       min_samples=4)),
-        estimator=known_resolver_estimator(machines),
-        machines=machines)
-    return controller.arm(telemetry)
-
-
-def run_campaign(params: ScorecardParams, campaign: Campaign,
-                 slo: CampaignSLO | None = None) -> CampaignOutcome:
+def run_campaign(params: ScorecardParams, entry: Entry) -> CampaignOutcome:
     """One campaign on one fresh deployment, probe running throughout.
 
-    A campaign-local telemetry session watches the probe's failure feed
-    with a :class:`RatioDetector`, so the scorecard can report not only
-    whether the platform degraded but how quickly the observability
-    pipeline *noticed* (time-to-detection). Telemetry is passive: the
-    session changes no simulation behaviour, only what gets recorded.
+    The campaign is built from the deployment it runs on, which carries
+    the settings of every harness its checks need. A campaign-local
+    telemetry session watches the probe's failure feed with a
+    :class:`RatioDetector`, so the scorecard can report not only whether
+    the platform degraded but how quickly the observability pipeline
+    *noticed* (time-to-detection). The session is passive unless a
+    harness arms mitigations.
     """
-    rollout = slo is not None and slo.rollout
-    defense = slo is not None and slo.defense
-    gray = slo is not None and slo.gray
-    # Defense campaigns arm mitigations: the controller mutates sim
-    # state (policies, filters, firewall rules, BGP exports) by design.
-    # Every other campaign keeps the session passive.
-    telemetry = Telemetry(TelemetryConfig(seed=params.seed,
-                                          trace_sample_rate=0.0,
-                                          arm_mitigations=defense))
+    harnesses = entry.harnesses
+    telemetry = Telemetry(TelemetryConfig(
+        seed=params.seed, trace_sample_rate=0.0,
+        arm_mitigations=any(h.arms_mitigations for h in harnesses)))
     # Fires when a detector window's failure ratio crosses 25% — i.e.
     # availability dips below 75%, well under any campaign's healthy
     # baseline but above the worst dips the SLO targets tolerate.
@@ -656,25 +512,10 @@ def run_campaign(params: ScorecardParams, campaign: Campaign,
                              threshold=0.25, min_count=2)
     telemetry.alerts.add(detector, "probe.fail")
     with _telemetry_state.session(telemetry):
-        deployment = build_deployment(params, rollout=rollout,
-                                      defense=defense, gray=gray)
-        recorder = _BlastRecorder(deployment) if rollout else None
-        grayfail = deployment.grayfail
-        gray_self: dict[str, bool] = {}
-        if grayfail is not None:
-            # At the instant the external prober convicts a machine,
-            # snapshot what the machine's *own* monitoring suite says.
-            # A green self-report here is the gray-failure property
-            # itself: internal probes blind, external evidence damning.
-            agents = {d.machine.machine_id: d.agent
-                      for d in deployment.regular_deployments()}
-            def _snapshot_self_view(machine_id: str) -> None:
-                agent = agents.get(machine_id)
-                if agent is not None and machine_id not in gray_self:
-                    gray_self[machine_id] = agent.run_suite().healthy
-            grayfail.on_convict.append(_snapshot_self_view)
-        controller = (_wire_defense(deployment, telemetry, campaign, slo)
-                      if defense else None)
+        deployment = build_deployment(params, *harnesses)
+        campaign = entry.build(deployment, params.seed)
+        rigs = [harness(deployment, telemetry, entry, campaign)
+                for harness in harnesses]
         resolver = deployment.add_resolver("slo-resolver")
         probe = SLOProbe(deployment.loop, resolver, PROBE_ZONE,
                          period=params.probe_period,
@@ -706,392 +547,654 @@ def run_campaign(params: ScorecardParams, campaign: Campaign,
         if alert is not None:
             detection = alert.raised_at - first_inject
 
-    blast: dict[str, float] = {}
-    canary_ids: tuple[str, ...] = ()
-    rollback_complete = None
-    rejections = 0
-    if rollout and deployment.rollout is not None:
-        blast = dict(recorder.first_wrong)
-        train = deployment.rollout
-        canary_ids = tuple(m.machine_id for m in train.canaries)
-        rejections = train.rejections
-        probe_origin = str(name(PROBE_ZONE))
-        rolled = [r for r in train.releases
-                  if r.phase is RolloutPhase.ROLLED_BACK
-                  and str(r.origin) == probe_origin]
-        rollback_installs = [
-            t for machine in train.canaries
-            for t, action, origin, _serial in machine.zone_install_log
-            if action == "rollback" and origin == probe_origin]
-        if rolled and rollback_installs:
-            rollback_complete = (max(rollback_installs)
-                                 - min(r.published_at for r in rolled))
-
     outcome = CampaignOutcome(campaign=campaign, report=report,
                               recoveries=recoveries,
                               fault_log=engine.describe_log(),
-                              detection_seconds=detection,
-                              blast=blast, canary_ids=canary_ids,
-                              rollback_complete_seconds=rollback_complete,
-                              rollout_rejections=rejections)
-    if controller is not None:
-        outcome.defense_max_level = controller.max_level
-        outcome.defense_final_level = controller.level
-        outcome.defense_reverts = controller.reverts
-        outcome.defense_unwound_at = controller.unwound_at()
-        outcome.defense_timeline = controller.timeline()
-        flood_injects = [e.time for e in engine.events
-                         if e.action == "inject"
-                         and e.spec.kind is FaultKind.ATTACK_FLOOD]
-        flood_clears = [e.time for e in engine.clears()
-                        if e.spec.kind is FaultKind.ATTACK_FLOOD]
-        if flood_clears:
-            outcome.defense_attack_end = max(flood_clears)
-        if flood_injects:
-            alert = telemetry.alerts.first_raise_after(
-                min(flood_injects), name=ATTACK_QPS_ALERT)
-            if alert is not None:
-                outcome.defense_attack_detect_seconds = (
-                    alert.raised_at - min(flood_injects))
-        engages = [t for t in controller.transitions
-                   if t.action == "engage"]
-        if engages:
-            outcome.defense_engaged_at = engages[0].time
-        for i, transition in enumerate(controller.transitions):
-            if transition.action != "revert":
-                continue
-            prior = [p for p in controller.transitions[:i]
-                     if p.rung == transition.rung and p.action == "engage"]
-            if prior:
-                outcome.defense_revert_after = (transition.time
-                                                - prior[-1].time)
-            break
-    if grayfail is not None:
-        outcome.gray_convictions = grayfail.convictions
-        outcome.gray_suspensions = grayfail.suspensions
-        outcome.gray_denials = grayfail.denials
-        outcome.gray_rejoins = grayfail.rejoins
-        outcome.gray_budget = deployment.coordinator.max_concurrent
-        outcome.gray_final_verdicts = grayfail.verdict_counts()
-        outcome.gray_self_healthy = dict(gray_self)
-        if grayfail.detections:
-            outcome.gray_detection_latency = max(
-                latency for _, latency in grayfail.detections)
-        gray_injects = [e.time for e in engine.events
-                        if e.action == "inject"
-                        and e.spec.kind.value.startswith("gray_")]
-        gray_clears = [e.time for e in engine.clears()
-                       if e.spec.kind.value.startswith("gray_")]
-        if gray_injects and gray_clears:
-            outcome.gray_window = (min(gray_injects), max(gray_clears))
-        if gray_injects:
-            convicted_at = [t for t, _, verdict in grayfail.timeline
-                            if verdict == "convicted"
-                            and t >= min(gray_injects)]
-            if convicted_at:
-                outcome.gray_ttd_seconds = (min(convicted_at)
-                                            - min(gray_injects))
+                              detection_seconds=detection)
+    for rig in rigs:
+        rig.collect(engine)
+        setattr(outcome, rig.name, rig)
     return outcome
 
 
-_TITLE = "Platform resilience scorecard (section 4.2 failure modes)"
+# Each entry lists its checks in row order: availability, recovery,
+# blast/rollback, reject, defense, gray, then time to detection. Checks
+# name their metrics and rows without the campaign; :func:`run_unit`
+# prefixes them.
 
 
-def unit_count(params: ScorecardParams) -> int:
-    """Number of independent campaign work units in the standard suite."""
-    return len(standard_campaigns(build_deployment(params), params.seed))
-
-
-def run_unit(params: ScorecardParams, index: int,
-             verbose: bool = False,
-             suite: list[tuple[Campaign, CampaignSLO]] | None = None,
-             ) -> ExperimentResult:
-    """Score one campaign on its own fresh deployment.
-
-    Campaigns share nothing (each builds a new deployment from the same
-    seed), so units may run in separate processes; :func:`assemble`
-    concatenates the fragments in suite order to reproduce the serial
-    result exactly. ``suite`` defaults to the standard suite; the
-    DNSSEC suite passes its own.
-    """
-    if suite is None:
-        suite = standard_campaigns(build_deployment(params), params.seed)
-    campaign, slo = suite[index]
-    result = ExperimentResult("resilience", _TITLE)
-    outcome = run_campaign(params, campaign, slo)
+def _availability_row(result: ExperimentResult, outcome: CampaignOutcome,
+                      min_overall: float, min_worst_window: float,
+                      target: str, *, dip_seen: bool = True) -> None:
     report = outcome.report
-    if verbose:
-        print(f"-- {campaign.name}: {campaign.description}",
-              file=sys.stderr)
-        print(outcome.fault_log, file=sys.stderr)
-        for line in outcome.defense_timeline:
-            print(line, file=sys.stderr)
-
-    prefix = campaign.name
-    result.metrics[f"{prefix}.availability"] = \
-        report.overall_availability
-    result.metrics[f"{prefix}.worst_window"] = \
-        report.worst_window_availability
-    result.metrics[f"{prefix}.servfails"] = float(
-        report.total_servfails)
-    result.metrics[f"{prefix}.timeouts"] = float(report.total_timeouts)
-    worst_ttr = outcome.worst_recovery
-    if worst_ttr is not None:
-        result.metrics[f"{prefix}.worst_ttr_s"] = worst_ttr
-    if outcome.detection_seconds is not None:
-        result.metrics[f"{prefix}.ttd_s"] = outcome.detection_seconds
-
-    baseline = report.availability_between(0.0, WARMUP)
-    final_clear = max((t for _, t, _ in outcome.recoveries),
-                      default=0.0)
-    recovered = report.availability_between(
-        final_clear + (worst_ttr or 0.0) + 1.0, float("inf"))
-
-    availability_holds = (
-        report.overall_availability >= slo.min_overall
-        and report.worst_window_availability >= slo.min_worst_window
-        and baseline == 1.0)
-    if slo.expect_dip:
-        # The probe must actually *see* the degradation: a perfect
-        # score here would mean the measurement is blind, not that
-        # the platform is invincible.
-        availability_holds = (availability_holds
-                              and report.worst_window_availability
-                              < 1.0)
-        target = (f">= {slo.min_overall:.0%}, with a visible dip")
-    else:
-        target = f">= {slo.min_overall:.0%}"
     result.compare(
-        f"{prefix}: availability through the campaign",
-        target,
+        "availability through the campaign", target,
         f"{report.overall_availability:.1%} "
         f"(worst window {report.worst_window_availability:.0%})",
-        availability_holds)
+        report.overall_availability >= min_overall
+        and report.worst_window_availability >= min_worst_window
+        and report.availability_between(0.0, WARMUP) == 1.0
+        and dip_seen)
+
+
+def availability(min_overall: float = 0.97,
+                 min_worst_window: float = 0.50) -> Check:
+    """Availability targets hold, on a perfect pre-fault baseline."""
+    def check(params, outcome, result):
+        _availability_row(result, outcome, min_overall, min_worst_window,
+                          f">= {min_overall:.0%}")
+    return check
+
+
+def visible_dip(min_overall: float, min_worst_window: float) -> Check:
+    """As :func:`availability`, and the probe must *see* the degradation.
+
+    A perfect score here would mean the measurement is blind, not that
+    the platform is invincible.
+    """
+    def check(params, outcome, result):
+        _availability_row(
+            result, outcome, min_overall, min_worst_window,
+            f">= {min_overall:.0%}, with a visible dip",
+            dip_seen=outcome.report.worst_window_availability < 1.0)
+    return check
+
+
+def recovery(params, outcome, result) -> None:
+    """Full availability within the recovery budget once faults clear."""
+    worst_ttr = outcome.worst_recovery
+    final_clear = max((t for _, t, _ in outcome.recoveries), default=0.0)
+    recovered = outcome.report.availability_between(
+        final_clear + (worst_ttr or 0.0) + 1.0, float("inf"))
     result.compare(
-        f"{prefix}: full recovery after faults clear",
+        "full recovery after faults clear",
         f"100% within {params.max_recovery_seconds:.0f}s",
         ("never recovered" if worst_ttr is None else
          f"TTR {worst_ttr:.1f}s, then {recovered:.0%}"),
         worst_ttr is not None
         and worst_ttr <= params.max_recovery_seconds
         and recovered == 1.0)
-    if slo.contain_blast:
-        canaries = set(outcome.canary_ids)
-        hit = set(outcome.blast)
-        escaped = sorted(hit - canaries)
-        result.metrics[f"{prefix}.blast_machines"] = float(len(hit))
-        result.metrics[f"{prefix}.blast_escaped"] = float(len(escaped))
-        rollback_s = outcome.rollback_complete_seconds
-        if rollback_s is not None:
-            result.metrics[f"{prefix}.rollback_s"] = rollback_s
+
+
+def _rollback_row(result: ExperimentResult, outcome: CampaignOutcome,
+                  row: str, target: str) -> None:
+    rollback_s = outcome.rollout.rollback_seconds()
+    if rollback_s is not None:
+        result.metrics["rollback_s"] = rollback_s
+    result.compare(
+        row, target,
+        ("no rollback happened" if rollback_s is None
+         else f"rollback complete after {rollback_s:.1f}s"),
+        rollback_s is not None and rollback_s <= ROLLOUT_SOAK)
+
+
+@needs(RolloutTrain)
+def blast_contained(params, outcome, result) -> None:
+    """No machine outside the canary cohort ever serves a wrong answer.
+
+    At least one canary must (proving the corruption actually landed),
+    and the automatic rollback must complete within the soak window.
+    """
+    canaries = outcome.rollout.canary_ids
+    hit = set(outcome.rollout.blast)
+    escaped = sorted(hit - canaries)
+    result.metrics["blast_machines"] = float(len(hit))
+    result.metrics["blast_escaped"] = float(len(escaped))
+    result.compare(
+        "blast radius confined to the canary cohort",
+        f"wrong answers only from canaries "
+        f"(cohort of {len(canaries)}), and at least one",
+        (f"{len(hit)} machine(s) served wrong answers, "
+         f"{len(escaped)} outside the cohort"
+         + (f": {', '.join(escaped)}" if escaped else "")),
+        bool(hit) and not escaped)
+    _rollback_row(result, outcome,
+                  "automatic rollback within the soak window",
+                  f"last canary rolled back <= {ROLLOUT_SOAK:.0f}s after "
+                  f"the corrupt publish")
+
+
+@needs(RolloutTrain)
+def bogus_release_contained(params, outcome, result) -> None:
+    """A release that passes validation but goes bogus while soaking.
+
+    The canary health gate must trip and the rollback must land within
+    the soak window, while the data plane — every non-validating client
+    — never sees a wrong answer or a dip.
+    """
+    _rollback_row(result, outcome,
+                  "bogus release rolled back within the soak window",
+                  f"canary health gate trips and the rollback lands "
+                  f"<= {ROLLOUT_SOAK:.0f}s after the bogus publish")
+    blast = outcome.rollout.blast
+    escaped = sorted(set(blast) - outcome.rollout.canary_ids)
+    overall = outcome.report.overall_availability
+    result.compare(
+        "containment invisible to non-validating clients",
+        "zero wrong answers fleet-wide, availability ~100%",
+        (f"{len(blast)} machine(s) served wrong answers "
+         f"({len(escaped)} outside the cohort), availability "
+         f"{overall:.1%}"),
+        not blast and overall >= 0.99)
+
+
+def rejects(count: int) -> Check:
+    """Exactly ``count`` releases rejected up front, no wrong answers."""
+    @needs(RolloutTrain)
+    def check(params, outcome, result):
+        rejections = outcome.rollout.train.rejections
+        blast = outcome.rollout.blast
+        result.metrics["rejections"] = float(rejections)
         result.compare(
-            f"{prefix}: blast radius confined to the canary cohort",
-            f"wrong answers only from canaries "
-            f"(cohort of {len(canaries)}), and at least one",
-            (f"{len(hit)} machine(s) served wrong answers, "
-             f"{len(escaped)} outside the cohort"
-             + (f": {', '.join(escaped)}" if escaped else "")),
-            bool(hit) and not escaped)
-        result.compare(
-            f"{prefix}: automatic rollback within the soak window",
-            f"last canary rolled back <= {ROLLOUT_SOAK:.0f}s after "
-            f"the corrupt publish",
-            ("no rollback happened" if rollback_s is None
-             else f"rollback complete after {rollback_s:.1f}s"),
-            rollback_s is not None and rollback_s <= ROLLOUT_SOAK)
-    if slo.expect_rollback:
-        rollback_s = outcome.rollback_complete_seconds
-        escaped = sorted(set(outcome.blast) - set(outcome.canary_ids))
-        if rollback_s is not None:
-            result.metrics[f"{prefix}.rollback_s"] = rollback_s
-        result.compare(
-            f"{prefix}: bogus release rolled back within the soak window",
-            f"canary health gate trips and the rollback lands "
-            f"<= {ROLLOUT_SOAK:.0f}s after the bogus publish",
-            ("no rollback happened" if rollback_s is None
-             else f"rollback complete after {rollback_s:.1f}s"),
-            rollback_s is not None and rollback_s <= ROLLOUT_SOAK)
-        result.compare(
-            f"{prefix}: containment invisible to non-validating clients",
-            "zero wrong answers fleet-wide, availability ~100%",
-            (f"{len(outcome.blast)} machine(s) served wrong answers "
-             f"({len(escaped)} outside the cohort), availability "
-             f"{report.overall_availability:.1%}"),
-            not outcome.blast
-            and report.overall_availability >= 0.99)
-    if slo.expect_reject:
-        result.metrics[f"{prefix}.rejections"] = float(
-            outcome.rollout_rejections)
-        result.compare(
-            f"{prefix}: validator rejects every bad release up front",
-            f"{slo.expect_reject} rejected, zero wrong answers served",
-            (f"{outcome.rollout_rejections} rejected, "
-             f"{len(outcome.blast)} machine(s) served wrong answers"),
-            outcome.rollout_rejections == slo.expect_reject
-            and not outcome.blast)
-    if slo.defense:
-        result.metrics[f"{prefix}.defense_max_level"] = float(
-            outcome.defense_max_level)
-        result.metrics[f"{prefix}.defense_reverts"] = float(
-            outcome.defense_reverts)
-        attack_ttd = outcome.defense_attack_detect_seconds
-        if attack_ttd is not None:
-            result.metrics[f"{prefix}.attack_ttd_s"] = attack_ttd
-        result.compare(
-            f"{prefix}: attack detected on the qps surface",
-            f"{ATTACK_QPS_ALERT} alert within "
-            f"{params.max_detection_seconds:.0f}s of the first flood",
-            ("no alert" if attack_ttd is None
-             else f"TTD {attack_ttd:.1f}s"),
-            attack_ttd is not None
-            and attack_ttd <= params.max_detection_seconds)
-        result.compare(
-            f"{prefix}: ladder climbs under sustained attack",
-            f">= {slo.defense_min_climb} rungs engaged",
-            f"max level {outcome.defense_max_level}",
-            outcome.defense_max_level >= slo.defense_min_climb)
-        floor = None
-        if (outcome.defense_engaged_at is not None
-                and outcome.defense_attack_end is not None):
-            floor = report.availability_between(
-                outcome.defense_engaged_at, outcome.defense_attack_end)
-            result.metrics[f"{prefix}.mitigation_availability"] = floor
-        result.compare(
-            f"{prefix}: legitimate availability floor while mitigating",
-            f">= {slo.defense_floor:.0%} from first rung to attack end",
-            ("ladder never engaged" if floor is None
-             else f"{floor:.1%}"),
-            floor is not None and floor >= slo.defense_floor)
-        unwind_s = None
-        if (outcome.defense_unwound_at is not None
-                and outcome.defense_attack_end is not None):
-            unwind_s = (outcome.defense_unwound_at
-                        - outcome.defense_attack_end)
-            result.metrics[f"{prefix}.unwind_s"] = unwind_s
-        result.compare(
-            f"{prefix}: every mitigation unwinds after the attack",
-            f"ladder back to level 0 <= {slo.defense_unwind_seconds:.0f}s "
-            f"after the flood stops",
-            (f"still at level {outcome.defense_final_level}"
-             if outcome.defense_final_level else
-             ("never engaged" if unwind_s is None
-              else f"unwound {unwind_s:.1f}s after the attack ended")),
-            outcome.defense_final_level == 0
-            and unwind_s is not None
-            and unwind_s <= slo.defense_unwind_seconds)
-        if slo.defense_overblock:
-            revert_after = outcome.defense_revert_after
-            if revert_after is not None:
-                result.metrics[f"{prefix}.revert_after_s"] = revert_after
-            result.compare(
-                f"{prefix}: guardrail reverts the over-blocking rung",
-                f"auto-revert + latch within its {OVERBLOCK_SOAK:.0f}s "
-                f"soak window",
-                ("no revert happened" if revert_after is None
-                 else f"{outcome.defense_reverts} revert(s), first "
-                      f"{revert_after:.1f}s after engage"),
-                outcome.defense_reverts >= 1
-                and revert_after is not None
-                and revert_after <= OVERBLOCK_SOAK)
-    if slo.gray:
-        result.metrics[f"{prefix}.gray_convictions"] = float(
-            outcome.gray_convictions)
-        result.metrics[f"{prefix}.gray_suspensions"] = float(
-            outcome.gray_suspensions)
-        result.metrics[f"{prefix}.gray_denials"] = float(
-            outcome.gray_denials)
-        result.metrics[f"{prefix}.gray_rejoins"] = float(
-            outcome.gray_rejoins)
-        if outcome.gray_ttd_seconds is not None:
-            result.metrics[f"{prefix}.gray_ttd_s"] = \
-                outcome.gray_ttd_seconds
-        if outcome.gray_detection_latency is not None:
-            result.metrics[f"{prefix}.gray_evidence_to_conviction_s"] = \
-                outcome.gray_detection_latency
-        verdicts = outcome.gray_final_verdicts
-        healthy_fleet = set(verdicts) <= {"healthy"}
-        verdict_text = ", ".join(f"{count} {verdict}"
-                                 for verdict, count in sorted(
-                                     verdicts.items()))
-        if slo.gray_quorum_guard:
-            result.compare(
-                f"{prefix}: quorum refuses to mass-suspend",
-                f"suspensions <= budget of {outcome.gray_budget}, "
-                f">= 1 denial",
-                f"{outcome.gray_convictions} convicted, "
-                f"{outcome.gray_suspensions} suspended, "
-                f"{outcome.gray_denials} denied",
-                0 < outcome.gray_suspensions <= outcome.gray_budget
-                and outcome.gray_denials >= 1)
-            floor = None
-            if outcome.gray_window is not None:
-                floor = report.availability_between(*outcome.gray_window)
-                result.metrics[f"{prefix}.gray_window_availability"] = \
-                    floor
-            result.compare(
-                f"{prefix}: degraded but serving through the gray storm",
-                f">= {slo.gray_floor:.0%} availability over the "
-                f"fault window",
-                ("no gray fault window" if floor is None
-                 else f"{floor:.1%}"),
-                floor is not None and floor >= slo.gray_floor)
-            result.compare(
-                f"{prefix}: fleet heals after the faults clear",
-                "all verdicts healthy, suspended machines rejoined",
-                f"final verdicts: {verdict_text}; "
-                f"{outcome.gray_rejoins} rejoined",
-                healthy_fleet and outcome.gray_rejoins >= 1)
-        else:
-            result.compare(
-                f"{prefix}: gray machine convicted and quorum-suspended",
-                "conviction routed through the suspension quorum",
-                f"{outcome.gray_convictions} conviction(s), "
-                f"{outcome.gray_suspensions} quorum-granted "
-                f"suspension(s)",
-                outcome.gray_convictions >= 1
-                and outcome.gray_suspensions >= 1)
-            blind = outcome.gray_self_healthy
-            result.compare(
-                f"{prefix}: self-monitoring stays blind (gray property)",
-                "machine's own health suite green at conviction time",
-                (f"{sum(blind.values())}/{len(blind)} convicted "
-                 f"machine(s) self-reported healthy" if blind
-                 else "no conviction recorded"),
-                bool(blind) and all(blind.values()))
-            gray_ttd = outcome.gray_ttd_seconds
-            result.compare(
-                f"{prefix}: external prober detects within budget",
-                f"conviction <= {params.max_detection_seconds:.0f}s "
-                f"after inject",
-                ("never convicted" if gray_ttd is None
-                 else f"TTD {gray_ttd:.1f}s"),
-                gray_ttd is not None
-                and gray_ttd <= params.max_detection_seconds)
-            result.compare(
-                f"{prefix}: probationary rejoin after the fault clears",
-                ">= 1 rejoin, fleet back to all-healthy verdicts",
-                f"{outcome.gray_rejoins} rejoin(s), final verdicts: "
-                f"{verdict_text}",
-                outcome.gray_rejoins >= 1 and healthy_fleet)
+            "validator rejects every bad release up front",
+            f"{count} rejected, zero wrong answers served",
+            (f"{rejections} rejected, "
+             f"{len(blast)} machine(s) served wrong answers"),
+            rejections == count and not blast)
+    return check
+
+
+@needs(DefenseLadder)
+def ladder_contains_attack(params, outcome, result) -> None:
+    """Detection, climb, the legitimate-availability floor while
+    mitigations hold, and the full symmetric unwind after the attack."""
+    defense = outcome.defense
+    controller = defense.controller
+    result.metrics["defense_max_level"] = float(controller.max_level)
+    result.metrics["defense_reverts"] = float(controller.reverts)
+    attack_ttd = defense.attack_detect_seconds
+    if attack_ttd is not None:
+        result.metrics["attack_ttd_s"] = attack_ttd
+    result.compare(
+        "attack detected on the qps surface",
+        f"{ATTACK_QPS_ALERT} alert within "
+        f"{params.max_detection_seconds:.0f}s of the first flood",
+        "no alert" if attack_ttd is None else f"TTD {attack_ttd:.1f}s",
+        attack_ttd is not None
+        and attack_ttd <= params.max_detection_seconds)
+    result.compare(
+        "ladder climbs under sustained attack",
+        f">= {DEFENSE_MIN_CLIMB} rungs engaged",
+        f"max level {controller.max_level}",
+        controller.max_level >= DEFENSE_MIN_CLIMB)
+    floor = None
+    if defense.engaged_at is not None and defense.attack_end is not None:
+        floor = outcome.report.availability_between(defense.engaged_at,
+                                                    defense.attack_end)
+        result.metrics["mitigation_availability"] = floor
+    result.compare(
+        "legitimate availability floor while mitigating",
+        f">= {DEFENSE_FLOOR:.0%} from first rung to attack end",
+        "ladder never engaged" if floor is None else f"{floor:.1%}",
+        floor is not None and floor >= DEFENSE_FLOOR)
+    unwind_s = None
+    unwound_at = controller.unwound_at()
+    if unwound_at is not None and defense.attack_end is not None:
+        unwind_s = unwound_at - defense.attack_end
+        result.metrics["unwind_s"] = unwind_s
+    result.compare(
+        "every mitigation unwinds after the attack",
+        f"ladder back to level 0 <= {DEFENSE_UNWIND_SECONDS:.0f}s "
+        f"after the flood stops",
+        (f"still at level {controller.level}" if controller.level
+         else ("never engaged" if unwind_s is None
+               else f"unwound {unwind_s:.1f}s after the attack ended")),
+        controller.level == 0
+        and unwind_s is not None
+        and unwind_s <= DEFENSE_UNWIND_SECONDS)
+
+
+@needs(DefenseLadder)
+def guardrail_reverts(params, outcome, result) -> None:
+    """The collateral-damage guardrail auto-reverts and latches the
+    campaign's over-blocking rung within its soak window."""
+    reverts = outcome.defense.controller.reverts
+    revert_after = outcome.defense.revert_after
+    if revert_after is not None:
+        result.metrics["revert_after_s"] = revert_after
+    result.compare(
+        "guardrail reverts the over-blocking rung",
+        f"auto-revert + latch within its {OVERBLOCK_SOAK:.0f}s "
+        f"soak window",
+        ("no revert happened" if revert_after is None
+         else f"{reverts} revert(s), first "
+              f"{revert_after:.1f}s after engage"),
+        reverts >= 1
+        and revert_after is not None
+        and revert_after <= OVERBLOCK_SOAK)
+
+
+def _gray_counters(outcome: CampaignOutcome,
+                   result: ExperimentResult) -> tuple[str, bool]:
+    """Record the prober's counters; return (verdicts, fleet healthy)."""
+    gray = outcome.gray
+    prober = gray.prober
+    result.metrics["gray_convictions"] = float(prober.convictions)
+    result.metrics["gray_suspensions"] = float(prober.suspensions)
+    result.metrics["gray_denials"] = float(prober.denials)
+    result.metrics["gray_rejoins"] = float(prober.rejoins)
+    if gray.ttd_seconds is not None:
+        result.metrics["gray_ttd_s"] = gray.ttd_seconds
+    if prober.detections:
+        result.metrics["gray_evidence_to_conviction_s"] = max(
+            latency for _, latency in prober.detections)
+    verdicts = prober.verdict_counts()
+    return (", ".join(f"{count} {verdict}"
+                      for verdict, count in sorted(verdicts.items())),
+            set(verdicts) <= {"healthy"})
+
+
+@needs(GrayProber)
+def gray_machine_convicted(params, outcome, result) -> None:
+    """Conviction through the suspension quorum, self-monitor blindness,
+    detection latency, and probationary rejoin."""
+    verdict_text, healthy_fleet = _gray_counters(outcome, result)
+    prober = outcome.gray.prober
+    result.compare(
+        "gray machine convicted and quorum-suspended",
+        "conviction routed through the suspension quorum",
+        f"{prober.convictions} conviction(s), "
+        f"{prober.suspensions} quorum-granted suspension(s)",
+        prober.convictions >= 1 and prober.suspensions >= 1)
+    blind = outcome.gray.self_healthy
+    result.compare(
+        "self-monitoring stays blind (gray property)",
+        "machine's own health suite green at conviction time",
+        (f"{sum(blind.values())}/{len(blind)} convicted "
+         f"machine(s) self-reported healthy" if blind
+         else "no conviction recorded"),
+        bool(blind) and all(blind.values()))
+    gray_ttd = outcome.gray.ttd_seconds
+    result.compare(
+        "external prober detects within budget",
+        f"conviction <= {params.max_detection_seconds:.0f}s after inject",
+        "never convicted" if gray_ttd is None else f"TTD {gray_ttd:.1f}s",
+        gray_ttd is not None
+        and gray_ttd <= params.max_detection_seconds)
+    result.compare(
+        "probationary rejoin after the fault clears",
+        ">= 1 rejoin, fleet back to all-healthy verdicts",
+        f"{prober.rejoins} rejoin(s), final verdicts: {verdict_text}",
+        prober.rejoins >= 1 and healthy_fleet)
+
+
+@needs(GrayProber)
+def quorum_guard_holds(params, outcome, result) -> None:
+    """Correlated gray faults beyond the suspension budget must NOT
+    mass-suspend: suspensions stay within budget, at least one request
+    is denied, and the fleet degrades but keeps serving."""
+    verdict_text, healthy_fleet = _gray_counters(outcome, result)
+    prober = outcome.gray.prober
+    budget = prober.coordinator.max_concurrent
+    result.compare(
+        "quorum refuses to mass-suspend",
+        f"suspensions <= budget of {budget}, >= 1 denial",
+        f"{prober.convictions} convicted, {prober.suspensions} suspended, "
+        f"{prober.denials} denied",
+        0 < prober.suspensions <= budget and prober.denials >= 1)
+    floor = None
+    if outcome.gray.window is not None:
+        floor = outcome.report.availability_between(*outcome.gray.window)
+        result.metrics["gray_window_availability"] = floor
+    result.compare(
+        "degraded but serving through the gray storm",
+        f">= {GRAY_FLOOR:.0%} availability over the fault window",
+        "no gray fault window" if floor is None else f"{floor:.1%}",
+        floor is not None and floor >= GRAY_FLOOR)
+    result.compare(
+        "fleet heals after the faults clear",
+        "all verdicts healthy, suspended machines rejoined",
+        f"final verdicts: {verdict_text}; {prober.rejoins} rejoined",
+        healthy_fleet and prober.rejoins >= 1)
+
+
+def detects_degradation(params, outcome, result) -> None:
+    """Client-visible degradation is operator-visible too, and quickly."""
     ttd = outcome.detection_seconds
-    if slo.expect_dip:
-        # Client-visible degradation must also be *operator*-visible:
-        # the probe-failure detector has to fire, and quickly.
-        result.compare(
-            f"{prefix}: telemetry detects the degradation",
-            f"alert within {params.max_detection_seconds:.0f}s "
-            f"of first fault",
-            ("no alert" if ttd is None else f"TTD {ttd:.1f}s"),
-            ttd is not None and ttd <= params.max_detection_seconds)
-    else:
-        # Absorbed faults should stay below the SLO alert surface;
-        # informational only — an early alert here is noisy, not wrong.
-        result.compare(
-            f"{prefix}: time to detection (informational)",
-            "absorbed faults need not alert",
-            ("no alert (fault absorbed)" if ttd is None
-             else f"TTD {ttd:.1f}s"),
-            True)
+    result.compare(
+        "telemetry detects the degradation",
+        f"alert within {params.max_detection_seconds:.0f}s of first fault",
+        "no alert" if ttd is None else f"TTD {ttd:.1f}s",
+        ttd is not None and ttd <= params.max_detection_seconds)
+
+
+def time_to_detection(params, outcome, result) -> None:
+    """Informational: absorbed faults should stay below the SLO alert
+    surface, but an early alert here is noisy, not wrong."""
+    ttd = outcome.detection_seconds
+    result.compare(
+        "time to detection (informational)",
+        "absorbed faults need not alert",
+        "no alert (fault absorbed)" if ttd is None else f"TTD {ttd:.1f}s",
+        True)
+
+
+# -- campaign builders -------------------------------------------------------
+#
+# Targets are chosen deterministically from the deployment (first PoPs,
+# one whole cloud's PoP set), so every campaign is part of the seed.
+
+
+def _slo_zone_cloud(deployment: AkamaiDNSDeployment):
+    """The probed enterprise's first assigned cloud, and its delegation."""
+    delegation = deployment.assigner.assign("slo-enterprise")
+    return next(c for c in delegation if c in deployment.clouds), delegation
+
+
+def _pop_loss(deployment, seed) -> Campaign:
+    return Campaign(
+        "pop-loss", duration=70.0, seed=seed,
+        description="one PoP partitioned off the Internet; anycast "
+                    "reroutes to surviving PoPs",
+        faults=[FaultSpec(FaultKind.PARTITION, sorted(deployment.pops)[0],
+                          Schedule.once(WARMUP, 25.0))])
+
+
+def _machine_attrition(deployment, seed) -> Campaign:
+    pops = sorted(deployment.pops)
+    return Campaign(
+        "machine-attrition", duration=80.0, seed=seed,
+        description="machines crash across two PoPs; restart timers and "
+                    "quorum-bounded suspension recover",
+        faults=[FaultSpec(FaultKind.MACHINE_CRASH, pops[0],
+                          Schedule.once(WARMUP, 20.0)),
+                FaultSpec(FaultKind.MACHINE_CRASH, pops[1],
+                          Schedule.once(WARMUP + 10.0, 20.0))])
+
+
+def _metadata_freeze(deployment, seed) -> Campaign:
+    return Campaign(
+        "metadata-freeze", duration=80.0, seed=seed,
+        description="publisher-side metadata freeze; staleness clocks "
+                    "run but answers keep flowing",
+        faults=[FaultSpec(FaultKind.METADATA_FREEZE, "platform",
+                          Schedule.once(WARMUP, 30.0))])
+
+
+def _bgp_churn(deployment, seed) -> Campaign:
+    pops = sorted(deployment.pops)
+    return Campaign(
+        "bgp-churn", duration=80.0, seed=seed,
+        description="control-plane resets and a degraded uplink while the "
+                    "data plane stays up",
+        faults=[FaultSpec(FaultKind.BGP_RESET, pops[2],
+                          Schedule.periodic(WARMUP, 15.0, 6.0, 2)),
+                FaultSpec(FaultKind.LINK_DEGRADE, pops[1], severity=0.3,
+                          schedule=Schedule.once(WARMUP + 5.0, 25.0))])
+
+
+def _zone_corruption(deployment, seed) -> Campaign:
+    return Campaign(
+        "zone-corruption", duration=80.0, seed=seed,
+        description="truncated zone transfer installs cleanly, serves "
+                    "NXDOMAIN invisibly to SOA probes, then "
+                    "republication restores contents",
+        faults=[FaultSpec(FaultKind.ZONE_CORRUPTION, PROBE_ZONE,
+                          Schedule.once(WARMUP, 25.0))])
+
+
+def _combined_storm(deployment, seed) -> Campaign:
+    pops = sorted(deployment.pops)
+    # Every PoP advertising the probed enterprise's first assigned
+    # cloud: taking all of them out at once defeats anycast failover
+    # *within* the cloud and forces the resolver to fail over *across*
+    # clouds — the visible-degradation case.
+    cloud, _ = _slo_zone_cloud(deployment)
+    cloud_pops = deployment.cloud_pops[cloud.index]
+    faults = [FaultSpec(FaultKind.CRASH_LOOP, pop_id,
+                        Schedule.once(WARMUP, 35.0))
+              for pop_id in cloud_pops]
+    # The cloud's first PoP hosts its input-delayed machine — the
+    # machine that would otherwise keep the cloud answering through the
+    # crash loop (section 4.2.3 working as designed). Partitioning that
+    # PoP darkens the whole cloud, so the dip becomes client-visible.
+    faults += [
+        FaultSpec(FaultKind.PARTITION, cloud_pops[0],
+                  Schedule.once(WARMUP + 4.0, 30.0)),
+        FaultSpec(FaultKind.PUBSUB_PARTITION, pops[1],
+                  Schedule.once(WARMUP + 5.0, 35.0)),
+        FaultSpec(FaultKind.LINK_FLAP, pops[2],
+                  Schedule.periodic(WARMUP + 2.0, 12.0, 5.0, 3)),
+        FaultSpec(FaultKind.SLOW_IO, pops[0], severity=0.5,
+                  schedule=Schedule.once(WARMUP + 8.0, 30.0)),
+    ]
+    return Campaign(
+        "combined-storm", duration=110.0, seed=seed, faults=faults,
+        description="crash loops across a whole cloud, its input-delayed "
+                    "refuge partitioned, pubsub partition + link flaps on "
+                    "top: graceful degradation, then full recovery")
+
+
+def _defense_ladder(deployment, seed) -> Campaign:
+    prefix = _slo_zone_cloud(deployment)[0].prefix
+    return Campaign(
+        "defense-ladder", duration=110.0, seed=seed,
+        description="escalating random-subdomain flood at the probe "
+                    "zone's cloud; the defense ladder detects, climbs "
+                    "rung by rung, contains the attack, then fully "
+                    "unwinds",
+        faults=[FaultSpec(FaultKind.ATTACK_FLOOD, prefix,
+                          Schedule.once(WARMUP, 30.0), severity=250.0,
+                          note=VICTIM_ZONE),
+                FaultSpec(FaultKind.ATTACK_FLOOD, prefix,
+                          Schedule.once(WARMUP + 30.0, 30.0),
+                          severity=500.0, note=VICTIM_ZONE)])
+
+
+def _defense_guardrail(deployment, seed) -> Campaign:
+    # A cloud *outside* the probe zone's delegation: attacking it leaves
+    # legitimate traffic untouched (attack damage ~0), so an over-broad
+    # mitigation is the only thing shedding good traffic — the cleanest
+    # possible guardrail trip.
+    slo_zone_cloud, delegation = _slo_zone_cloud(deployment)
+    offside_cloud = next((c for c in deployment.clouds
+                          if c not in delegation), slo_zone_cloud)
+    return Campaign(
+        "defense-guardrail", duration=90.0, seed=seed,
+        description="flood at a cloud outside the probe zone's "
+                    "delegation; a deliberately over-broad firewall rung "
+                    "sheds good traffic and the collateral-damage "
+                    "guardrail reverts and latches it, then the safe "
+                    "rungs climb",
+        faults=[FaultSpec(FaultKind.ATTACK_FLOOD, offside_cloud.prefix,
+                          Schedule.once(WARMUP, 40.0), severity=300.0,
+                          note=VICTIM_ZONE)])
+
+
+def _rollout_containment(deployment, seed) -> Campaign:
+    # "renamed" keeps the SOA/NS apex intact and bumps the serial, so
+    # the validator passes it — only the canary health gate stands
+    # between it and the fleet. That is the blast-radius case.
+    return Campaign(
+        "rollout-containment", duration=90.0, seed=seed,
+        description="semantically valid but content-corrupt zone rides "
+                    "the rollout train; canary probes trip the health "
+                    "gate and the rollback lands before the fleet ever "
+                    "sees it",
+        faults=[FaultSpec(FaultKind.BAD_ZONE_PUBLISH, PROBE_ZONE,
+                          Schedule.once(WARMUP, 55.0), note="renamed")])
+
+
+def _rollout_validation(deployment, seed) -> Campaign:
+    return Campaign(
+        "rollout-validation", duration=70.0, seed=seed,
+        description="regressive, truncated and SOA-less zone updates are "
+                    "all rejected by the validator before a single "
+                    "machine sees them",
+        faults=[FaultSpec(FaultKind.BAD_ZONE_PUBLISH, PROBE_ZONE,
+                          Schedule.once(WARMUP + offset, 8.0), note=note)
+                for offset, note in ((0.0, "regressive"),
+                                     (12.0, "truncated"),
+                                     (24.0, "missing-soa"))])
+
+
+def _dnssec_expiry_rollback(deployment, seed) -> Campaign:
+    # Validity (severity) must leave room for gate detection plus
+    # worst-case rollback delivery inside the ROLLOUT_SOAK window.
+    return Campaign(
+        "dnssec-expiry-rollback", duration=90.0, seed=seed,
+        description="a correctly signed zone whose RRSIGs lapse mid-soak "
+                    "rides the rollout train; canary probes go bogus, "
+                    "the health gate trips, and the rollback lands "
+                    "inside the soak window with zero client-visible "
+                    "damage",
+        faults=[FaultSpec(FaultKind.SIGNATURE_EXPIRY, PROBE_ZONE,
+                          Schedule.once(WARMUP, 8.0), severity=15.0)])
+
+
+def _dnssec_key_mismatch_reject(deployment, seed) -> Campaign:
+    return Campaign(
+        "dnssec-key-mismatch-reject", duration=70.0, seed=seed,
+        description="a zone signed by keys its DNSKEY RRset does not "
+                    "publish is rejected by the validator before any "
+                    "canary serves it",
+        faults=[FaultSpec(FaultKind.KEY_MISMATCH, PROBE_ZONE,
+                          Schedule.once(WARMUP, 8.0))])
+
+
+def _gray_machine_ids(deployment) -> list[str]:
+    return sorted(d.machine.machine_id
+                  for d in deployment.regular_deployments())
+
+
+def _gray_corruption(deployment, seed) -> Campaign:
+    return Campaign(
+        "gray-corruption", duration=95.0, seed=seed,
+        description="one machine silently strips every answer section "
+                    "while its own health probes stay green; the external "
+                    "prober convicts it by differential comparison, the "
+                    "quorum suspends it, and probation rejoins it after "
+                    "the fault clears",
+        faults=[FaultSpec(FaultKind.GRAY_CORRUPT,
+                          _gray_machine_ids(deployment)[0],
+                          Schedule.once(WARMUP, 35.0))])
+
+
+def _gray_quorum_guard(deployment, seed) -> Campaign:
+    machine_ids = _gray_machine_ids(deployment)
+    budget = deployment.coordinator.max_concurrent
+    # More gray machines than the coordinator will ever suspend at
+    # once, but still a strict minority of the probed fleet (the
+    # majority-answer reference needs honest peers to out-vote liars).
+    correlated = min(budget + 2, (len(machine_ids) - 1) // 2)
+    return Campaign(
+        "gray-quorum-guard", duration=100.0, seed=seed,
+        description=f"{correlated} machines go gray at once — beyond the "
+                    f"suspension budget of {budget}; the quorum refuses "
+                    "to mass-suspend and the fleet degrades but keeps "
+                    "serving",
+        faults=[FaultSpec(FaultKind.GRAY_CORRUPT, machine_id,
+                          Schedule.once(WARMUP, 40.0))
+                for machine_id in machine_ids[:correlated]])
+
+
+_ABSORBED = (availability(), recovery, time_to_detection)
+
+#: Campaign families. ``standard`` is the default scorecard; the others
+#: are opt-in (``--dnssec``, ``--gray``) and kept out of it so its output
+#: stays byte-identical whether or not those subsystems are exercised.
+#:
+#: * ``dnssec`` brackets the two ways a key rollover goes wrong:
+#:   statically detectable (zone signed by unpublished keys — the
+#:   validator must reject it before any machine sees it), and
+#:   dynamically detectable only (signatures valid at publish, lapsing
+#:   mid-soak — the canary health gate is the only line of defense).
+#: * ``gray`` brackets the two gray-fault modes that matter: a single
+#:   machine silently corrupting answers while its own health probes
+#:   stay green (only external differential probing can see it), and
+#:   correlated gray faults on *more* machines than the suspension
+#:   budget allows (a degraded platform that answers beats a "clean"
+#:   one that is dark — section 4.2.2's capacity bound).
+REGISTRY: dict[str, tuple[Entry, ...]] = {
+    "standard": (
+        Entry("pop-loss", _pop_loss, _ABSORBED),
+        Entry("machine-attrition", _machine_attrition, _ABSORBED),
+        Entry("metadata-freeze", _metadata_freeze, _ABSORBED),
+        Entry("bgp-churn", _bgp_churn, _ABSORBED),
+        Entry("zone-corruption", _zone_corruption,
+              (visible_dip(0.55, 0.0), recovery, detects_degradation)),
+        Entry("combined-storm", _combined_storm,
+              (visible_dip(0.80, 0.30), recovery, detects_degradation)),
+        Entry("defense-ladder", _defense_ladder,
+              (availability(0.70, 0.0), recovery, ladder_contains_attack,
+               time_to_detection)),
+        Entry("defense-guardrail", _defense_guardrail,
+              (visible_dip(0.80, 0.0), recovery, ladder_contains_attack,
+               guardrail_reverts, detects_degradation),
+              rungs=(_overblock_firewall,)),
+        Entry("rollout-containment", _rollout_containment,
+              (availability(0.55, 0.0), recovery, blast_contained,
+               time_to_detection)),
+        Entry("rollout-validation", _rollout_validation,
+              (availability(), recovery, rejects(3), time_to_detection)),
+    ),
+    "dnssec": (
+        Entry("dnssec-expiry-rollback", _dnssec_expiry_rollback,
+              (availability(), recovery, bogus_release_contained,
+               time_to_detection)),
+        Entry("dnssec-key-mismatch-reject", _dnssec_key_mismatch_reject,
+              (availability(), recovery, rejects(1), time_to_detection)),
+    ),
+    "gray": (
+        Entry("gray-corruption", _gray_corruption,
+              (availability(0.70, 0.0), recovery, gray_machine_convicted,
+               time_to_detection)),
+        Entry("gray-quorum-guard", _gray_quorum_guard,
+              (availability(0.55, 0.0), recovery, quorum_guard_holds,
+               time_to_detection)),
+    ),
+}
+
+
+# -- scoring -----------------------------------------------------------------
+
+_TITLE = "Platform resilience scorecard (section 4.2 failure modes)"
+
+
+def unit_count(family: str = "standard") -> int:
+    """Number of independent campaign work units in a family.
+
+    The suite is the same at every scale, so this builds nothing.
+    """
+    return len(REGISTRY[family])
+
+
+def run_unit(params: ScorecardParams, index: int, verbose: bool = False,
+             family: str = "standard") -> ExperimentResult:
+    """Run one campaign of a family and grade it with its checks.
+
+    Campaigns share nothing (each builds a new deployment from the same
+    seed), so units may run in separate processes; :func:`assemble`
+    concatenates the fragments in suite order to reproduce the serial
+    result exactly.
+    """
+    entry = REGISTRY[family][index]
+    outcome = run_campaign(params, entry)
+    campaign = outcome.campaign
+    report = outcome.report
+    if verbose:
+        print(f"-- {campaign.name}: {campaign.description}",
+              file=sys.stderr)
+        print(outcome.fault_log, file=sys.stderr)
+        if outcome.defense is not None:
+            for line in outcome.defense.controller.timeline():
+                print(line, file=sys.stderr)
+
+    result = ExperimentResult("resilience", _TITLE)
+    result.metrics["availability"] = report.overall_availability
+    result.metrics["worst_window"] = report.worst_window_availability
+    result.metrics["servfails"] = float(report.total_servfails)
+    result.metrics["timeouts"] = float(report.total_timeouts)
+    if outcome.worst_recovery is not None:
+        result.metrics["worst_ttr_s"] = outcome.worst_recovery
+    if outcome.detection_seconds is not None:
+        result.metrics["ttd_s"] = outcome.detection_seconds
+    for check in entry.checks:
+        check(params, outcome, result)
+    result.metrics = {f"{campaign.name}.{key}": value
+                      for key, value in result.metrics.items()}
+    for row in result.comparisons:
+        row.metric = f"{campaign.name}: {row.metric}"
     return result
 
 
@@ -1105,53 +1208,19 @@ def assemble(fragments: list[ExperimentResult]) -> ExperimentResult:
     return result
 
 
-def run(params: ScorecardParams | None = None,
-        verbose: bool = False,
-        only: str | None = None) -> ExperimentResult:
-    """Run the standard suite and emit the pass/fail scorecard.
+def run(params: ScorecardParams | None = None, family: str = "standard",
+        verbose: bool = False, only: str | None = None) -> ExperimentResult:
+    """Run one campaign family and emit the pass/fail scorecard.
 
-    ``only`` restricts the suite to campaigns whose name contains the
+    ``only`` restricts the family to campaigns whose name contains the
     given substring (``SystemExit`` if nothing matches).
     """
     params = params or ScorecardParams()
-    indices = list(range(unit_count(params)))
-    if only is not None:
-        suite = standard_campaigns(build_deployment(params), params.seed)
-        indices = [i for i in indices if only in suite[i][0].name]
-        if not indices:
-            raise SystemExit(f"no campaign matches {only!r}")
-    return assemble([run_unit(params, index, verbose)
-                     for index in indices])
-
-
-def run_dnssec(params: ScorecardParams | None = None,
-               verbose: bool = False,
-               only: str | None = None) -> ExperimentResult:
-    """Run the opt-in DNSSEC rollover-containment suite (``--dnssec``)."""
-    params = params or ScorecardParams()
-    suite = dnssec_campaigns(build_deployment(params), params.seed)
-    indices = list(range(len(suite)))
-    if only is not None:
-        indices = [i for i in indices if only in suite[i][0].name]
-        if not indices:
-            raise SystemExit(f"no campaign matches {only!r}")
-    return assemble([run_unit(params, index, verbose, suite=suite)
-                     for index in indices])
-
-
-def run_gray(params: ScorecardParams | None = None,
-             verbose: bool = False,
-             only: str | None = None) -> ExperimentResult:
-    """Run the opt-in gray-failure detection suite (``--gray``)."""
-    params = params or ScorecardParams()
-    suite = gray_campaigns(build_deployment(params), params.seed)
-    indices = list(range(len(suite)))
-    if only is not None:
-        indices = [i for i in indices if only in suite[i][0].name]
-        if not indices:
-            raise SystemExit(f"no campaign matches {only!r}")
-    return assemble([run_unit(params, index, verbose, suite=suite)
-                     for index in indices])
+    indices = [i for i, entry in enumerate(REGISTRY[family])
+               if only is None or only in entry.name]
+    if not indices:
+        raise SystemExit(f"no campaign matches {only!r}")
+    return assemble([run_unit(params, i, verbose, family) for i in indices])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1164,21 +1233,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--campaign", default=None, metavar="SUBSTR",
                         help="run only campaigns whose name contains "
                              "this substring")
-    parser.add_argument("--dnssec", action="store_true",
+    family = parser.add_mutually_exclusive_group()
+    family.add_argument("--dnssec", dest="family", action="store_const",
+                        const="dnssec",
                         help="run the opt-in DNSSEC rollover-containment "
                              "suite instead of the standard one")
-    parser.add_argument("--gray", action="store_true",
+    family.add_argument("--gray", dest="family", action="store_const",
+                        const="gray",
                         help="run the opt-in gray-failure detection "
                              "suite instead of the standard one")
+    parser.set_defaults(family="standard")
     args = parser.parse_args(argv)
     params = ScorecardParams.fast(args.seed) if args.fast \
         else ScorecardParams(seed=args.seed)
-    runner = run
-    if args.dnssec:
-        runner = run_dnssec
-    if args.gray:
-        runner = run_gray
-    result = runner(params, verbose=args.verbose, only=args.campaign)
+    result = run(params, family=args.family, verbose=args.verbose,
+                 only=args.campaign)
     print(result.render())
     return 0 if result.all_hold else 1
 

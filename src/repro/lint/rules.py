@@ -406,10 +406,10 @@ class ZoneInstallRule(Rule):
         self.generic_visit(node)
 
 
-#: The modules allowed to drive mitigations directly: the alert-bound
-#: mitigator arms themselves, and the defense ladder's controller
-#: (which owns hysteresis, soak, ordering, and the collateral-damage
-#: guardrail).
+#: The modules allowed to drive mitigations directly: the
+#: ``Mitigator`` base class, whose raise/clear wiring calls its own
+#: engage/stand-down, and the defense ladder's controller (which owns
+#: hysteresis, soak, ordering, and the collateral-damage guardrail).
 _ENGAGE_EXEMPT = (
     "src/repro/control/defense.py",
     "src/repro/telemetry/mitigation.py",

@@ -4,9 +4,11 @@ The paper's attack playbook (section 4.3) is reactive: scoring filters
 and firewall rules exist ahead of time, but the aggressive ones are
 *enabled* when monitoring detects an anomaly. This module closes that
 loop for the repro: a :class:`Mitigator` binds an alert name to a
-concrete defensive action — inserting a filter into a machine's scoring
-pipeline, or installing a QoD firewall rule — engaged on alert raise
-and stood down on clear.
+concrete action, engaged on alert raise and stood down on clear.
+:class:`RollbackArm` binds one to a safe-rollout zone rollback; the
+staged filter and firewall mitigations live on the defense ladder
+(:mod:`repro.control.defense`), which adds soak, hysteresis and a
+collateral-damage guardrail around them.
 
 Arming **changes simulation behaviour by design**, which is exactly
 what the passive telemetry contract forbids by default. So
@@ -60,53 +62,6 @@ class Mitigator:
         self.active = False
         self.stood_down += 1
         self.stand_down(alert)
-
-
-class PipelineArm(Mitigator):
-    """Insert a scoring filter while an alert is active.
-
-    Models turning on an aggressive filter (e.g. a stricter NXDOMAIN
-    filter, a TTL filter) only once an attack is detected, so its
-    false-positive cost is not paid in peacetime.
-    """
-
-    def __init__(self, alert_name: str, pipeline, filter_) -> None:
-        super().__init__(alert_name)
-        self.pipeline = pipeline
-        self.filter = filter_
-
-    def engage(self, alert: Alert) -> None:
-        if self.filter not in self.pipeline.filters:
-            self.pipeline.add(self.filter)
-
-    def stand_down(self, alert: Alert) -> None:
-        if self.filter in self.pipeline.filters:
-            self.pipeline.filters.remove(self.filter)
-
-
-class FirewallArm(Mitigator):
-    """Install a QoD firewall rule while an alert is active.
-
-    The rule drops the (parent domain, qtype) shape the alert implicates
-    — the same broad-by-design match the crash-dump path uses — and is
-    removed when the alert clears rather than waiting for ``t_qod``.
-    """
-
-    def __init__(self, alert_name: str, firewall, qname, qtype) -> None:
-        super().__init__(alert_name)
-        self.firewall = firewall
-        self.qname = qname
-        self.qtype = qtype
-        self._signature = None
-
-    def engage(self, alert: Alert) -> None:
-        self._signature = self.firewall.install_rule(
-            self.qname, self.qtype, alert.raised_at)
-
-    def stand_down(self, alert: Alert) -> None:
-        if self._signature is not None:
-            self.firewall.remove_rule(self._signature)
-            self._signature = None
 
 
 class RollbackArm(Mitigator):

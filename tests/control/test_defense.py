@@ -9,15 +9,22 @@ at equal times they run before the controller's later-scheduled ticks —
 the timings asserted below are exact, not approximate.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.control.defense import (
     DefenseController,
     DefenseParams,
     DefenseRung,
+    FilterInsertRung,
+    FirewallRuleRung,
     GuardrailParams,
 )
+from repro.dnscore import RType, name
+from repro.filters.base import ScoringPipeline
 from repro.netsim import EventLoop
+from repro.server.firewall import QoDFirewall
 from repro.telemetry import Telemetry, TelemetryConfig
 from repro.telemetry.alerts import GaugeDetector
 
@@ -317,3 +324,31 @@ class TestDegradedWiring:
         # at level 0.
         assert machine.modes == [("enter", "rung-0"), ("enter", "rung-1"),
                                  ("enter", "rung-0"), ("exit",)]
+
+
+class TestConcreteRungs:
+    """The filter and firewall rungs apply and withdraw their action."""
+
+    def test_filter_inserted_on_engage_removed_on_disengage(self):
+        machines = [SimpleNamespace(pipeline=ScoringPipeline())
+                    for _ in range(2)]
+        rung = FilterInsertRung(machines, lambda machine: object())
+        # reprolint: disable-next=ROB002 -- the rung itself under test
+        rung.engage(1.0)
+        assert all(len(m.pipeline.filters) == 1 for m in machines)
+        rung.disengage(2.0)
+        assert all(m.pipeline.filters == [] for m in machines)
+
+    def test_firewall_rule_installed_and_withdrawn(self):
+        machines = [SimpleNamespace(firewall=QoDFirewall(t_qod=300.0))
+                    for _ in range(2)]
+        qname = name("attack.victim.example")
+        rung = FirewallRuleRung(machines, qname, RType.A)
+        # reprolint: disable-next=ROB002 -- the rung itself under test
+        rung.engage(1.0)
+        assert all(m.firewall.should_drop(qname, RType.A, 1.1)
+                   for m in machines)
+        rung.disengage(2.0)
+        assert not any(m.firewall.should_drop(qname, RType.A, 2.1)
+                       for m in machines)
+        assert all(m.firewall.active_rules(2.1) == 0 for m in machines)

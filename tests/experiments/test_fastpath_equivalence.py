@@ -78,8 +78,7 @@ class TestParallelRunner:
         # fig8 splits into exactly two cases, resilience into one unit
         # per campaign; everything else is a single unit.
         assert sum(1 for u in units if u[0] == "fig8") == 2
-        n_campaigns = resilience_scorecard.unit_count(
-            resilience_scorecard.ScorecardParams.fast())
+        n_campaigns = resilience_scorecard.unit_count()
         assert sum(1 for u in units if u[0] == "resilience") == n_campaigns
 
     def test_unit_payloads_are_picklable(self):
@@ -110,7 +109,7 @@ class TestDecomposition:
         params = resilience_scorecard.ScorecardParams.fast()
         direct = serialized(resilience_scorecard.run(params))
         fragments = [resilience_scorecard.run_unit(params, i)
-                     for i in range(resilience_scorecard.unit_count(params))]
+                     for i in range(resilience_scorecard.unit_count())]
         assembled = serialized(resilience_scorecard.assemble(fragments))
         assert direct == assembled
 

@@ -7,14 +7,9 @@ from repro.experiments import resilience_scorecard as scorecard
 PARAMS = scorecard.ScorecardParams.fast()
 
 
-def suite():
-    deployment = scorecard.build_deployment(PARAMS)
-    return scorecard.standard_campaigns(deployment, PARAMS.seed)
-
-
 def index_of(name):
-    for i, (campaign, _slo) in enumerate(suite()):
-        if campaign.name == name:
+    for i, entry in enumerate(scorecard.REGISTRY["standard"]):
+        if entry.name == name:
             return i
     raise AssertionError(f"campaign {name!r} not in the standard suite")
 
@@ -33,16 +28,19 @@ class TestContainmentCampaign:
         assert first.all_hold
 
     def test_blast_radius_confined_to_canaries(self):
-        index = index_of("rollout-containment")
-        campaign, slo = suite()[index]
-        assert slo.rollout and slo.contain_blast
-        outcome = scorecard.run_campaign(PARAMS, campaign, slo)
-        hit = set(outcome.blast)
+        entry = scorecard.REGISTRY["standard"][
+            index_of("rollout-containment")]
+        assert scorecard.blast_contained in entry.checks
+        assert entry.harnesses == (scorecard.RolloutTrain,)
+        outcome = scorecard.run_campaign(PARAMS, entry)
+        hit = set(outcome.rollout.blast)
+        canaries = outcome.rollout.canary_ids
         assert hit, "the corruption never reached a canary"
-        assert hit <= set(outcome.canary_ids), \
-            f"blast escaped the cohort: {hit - set(outcome.canary_ids)}"
-        assert outcome.rollback_complete_seconds is not None
-        assert outcome.rollback_complete_seconds <= scorecard.ROLLOUT_SOAK
+        assert hit <= canaries, \
+            f"blast escaped the cohort: {hit - canaries}"
+        rollback_s = outcome.rollout.rollback_seconds()
+        assert rollback_s is not None
+        assert rollback_s <= scorecard.ROLLOUT_SOAK
 
 
 class TestValidationCampaign:

@@ -2,19 +2,23 @@
 
 import pytest
 
-from repro.dnscore import RType, name
-from repro.filters.base import ScoringPipeline
-from repro.server.firewall import QoDFirewall
 from repro.telemetry import Telemetry, TelemetryConfig
 from repro.telemetry.alerts import GaugeDetector
-from repro.telemetry.mitigation import FirewallArm, PipelineArm, arm
+from repro.telemetry.mitigation import Mitigator, arm
 
 
-class _StubFilter:
-    name = "aggressive-nxdomain"
+class _RecordingMitigator(Mitigator):
+    """Counts how often its action is applied and currently in force."""
 
-    def score(self, ctx):
-        return 0.0
+    def __init__(self, alert_name: str) -> None:
+        super().__init__(alert_name)
+        self.applied = 0
+
+    def engage(self, alert) -> None:
+        self.applied += 1
+
+    def stand_down(self, alert) -> None:
+        self.applied -= 1
 
 
 def _telemetry(opt_in):
@@ -35,8 +39,7 @@ def _raise_then_clear(telemetry):
 class TestOptIn:
     def test_passive_session_refuses_arming(self):
         telemetry = _telemetry(opt_in=False)
-        mitigator = PipelineArm("queue-depth", ScoringPipeline(),
-                                _StubFilter())
+        mitigator = _RecordingMitigator("queue-depth")
         with pytest.raises(ValueError):
             arm(telemetry, mitigator)
         # Refusal means no callbacks were attached either.
@@ -47,45 +50,28 @@ class TestOptIn:
         assert Telemetry().config.arm_mitigations is False
 
 
-class TestPipelineArm:
-    def test_filter_inserted_on_raise_removed_on_clear(self):
+class TestArm:
+    def test_engaged_on_raise_stood_down_on_clear(self):
         telemetry = _telemetry(opt_in=True)
-        pipeline = ScoringPipeline()
-        filter_ = _StubFilter()
-        mitigator = PipelineArm("queue-depth", pipeline, filter_)
+        mitigator = _RecordingMitigator("queue-depth")
         arm(telemetry, mitigator)
 
-        _raise_then_clear(telemetry)
-        assert filter_ not in pipeline.filters
+        telemetry.alerts.observe("queue_depth", 0.5, 50.0)
+        telemetry.alerts.observe("queue_depth", 1.2, 50.0)  # close win 0
+        assert mitigator.active and mitigator.applied == 1
+        telemetry.alerts.observe("queue_depth", 2.5, 0.0)   # calm window
+        telemetry.alerts.finalize(3.0)
+        assert not mitigator.active and mitigator.applied == 0
         assert mitigator.engaged == 1
         assert mitigator.stood_down == 1
 
     def test_other_alerts_ignored(self):
         telemetry = _telemetry(opt_in=True)
-        pipeline = ScoringPipeline()
-        mitigator = PipelineArm("nxdomain-ratio", pipeline, _StubFilter())
+        mitigator = _RecordingMitigator("nxdomain-ratio")
         arm(telemetry, mitigator)
         _raise_then_clear(telemetry)   # raises "queue-depth", not ours
         assert mitigator.engaged == 0
-        assert pipeline.filters == []
-
-
-class TestFirewallArm:
-    def test_rule_installed_and_withdrawn(self):
-        telemetry = _telemetry(opt_in=True)
-        firewall = QoDFirewall(t_qod=300.0)
-        qname = name("attack.victim.example")
-        mitigator = FirewallArm("queue-depth", firewall, qname, RType.A)
-        arm(telemetry, mitigator)
-
-        telemetry.alerts.observe("queue_depth", 0.5, 50.0)
-        telemetry.alerts.observe("queue_depth", 1.2, 50.0)  # close win 0
-        assert firewall.should_drop(qname, RType.A, 1.1)
-        telemetry.alerts.observe("queue_depth", 2.5, 0.0)   # calm window
-        telemetry.alerts.finalize(3.0)
-        assert not firewall.should_drop(qname, RType.A, 3.1)
-        assert mitigator.engaged == 1
-        assert mitigator.stood_down == 1
+        assert mitigator.applied == 0
 
 
 class TestReentrancy:
@@ -99,39 +85,34 @@ class TestReentrancy:
                      message="test")
 
     def test_duplicate_raise_engages_once(self):
-        pipeline = ScoringPipeline()
-        mitigator = PipelineArm("queue-depth", pipeline, _StubFilter())
+        mitigator = _RecordingMitigator("queue-depth")
         mitigator._on_raise(self.alert())
         mitigator._on_raise(self.alert())   # flapping detector, same arm
         assert mitigator.engaged == 1
         assert mitigator.active
-        assert len(pipeline.filters) == 1
+        assert mitigator.applied == 1
 
     def test_clear_without_engage_is_noop(self):
-        pipeline = ScoringPipeline()
-        mitigator = PipelineArm("queue-depth", pipeline, _StubFilter())
+        mitigator = _RecordingMitigator("queue-depth")
         mitigator._on_clear(self.alert())
         assert mitigator.stood_down == 0
         assert not mitigator.active
-        assert pipeline.filters == []
+        assert mitigator.applied == 0
 
     def test_full_cycle_rearms(self):
-        pipeline = ScoringPipeline()
-        mitigator = PipelineArm("queue-depth", pipeline, _StubFilter())
+        mitigator = _RecordingMitigator("queue-depth")
         for _ in range(2):
             mitigator._on_raise(self.alert())
             mitigator._on_clear(self.alert())
         assert (mitigator.engaged, mitigator.stood_down) == (2, 2)
-        assert pipeline.filters == []
+        assert mitigator.applied == 0
 
-    def test_firewall_arm_survives_duplicate_edges(self):
-        firewall = QoDFirewall(t_qod=300.0)
-        mitigator = FirewallArm("queue-depth", firewall,
-                                name("attack.victim.example"), RType.A)
+    def test_duplicate_edges_apply_and_withdraw_once(self):
+        mitigator = _RecordingMitigator("queue-depth")
         mitigator._on_raise(self.alert())
         mitigator._on_raise(self.alert())
-        assert firewall.active_rules(2.0) == 1
+        assert mitigator.applied == 1
         mitigator._on_clear(self.alert())
         mitigator._on_clear(self.alert())
-        assert firewall.active_rules(2.0) == 0
+        assert mitigator.applied == 0
         assert mitigator.stood_down == 1
